@@ -29,7 +29,7 @@ Emulator::Emulator(std::shared_ptr<const assembler::Program> program,
 void
 Emulator::setPredecode(bool enable)
 {
-    predecodeEnabled_ = enable;
+    usePredecode_ = enable;
     if (!enable)
         pre_.reset();
     else if (program_ && !pre_)
@@ -46,7 +46,7 @@ Emulator::reset(std::shared_ptr<const assembler::Program> program,
     // pointer identity proves the pre-decoded table is still current.
     const bool sameProgram = program.get() == program_.get();
     program_ = std::move(program);
-    if (!predecodeEnabled_)
+    if (!usePredecode_)
         pre_.reset();
     else if (!pre_ || !sameProgram)
         pre_ = PredecodeCache::instance().get(*program_);

@@ -122,7 +122,7 @@ class Emulator
     uint64_t maxInsts_;
     bool done_ = false;
     bool halted_ = false;
-    bool predecodeEnabled_ = true;
+    bool usePredecode_ = true;
 };
 
 } // namespace conopt::arch

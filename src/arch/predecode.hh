@@ -27,7 +27,7 @@
  * DynInst streams (and therefore bit-identical SimStats) to the
  * re-decoding reference path, which remains available behind
  * Emulator::setPredecode(false); tests/test_predecode.cc pins the
- * equivalence across workloads and machine models.
+ * equivalence field by field over every registered workload.
  */
 
 #ifndef CONOPT_ARCH_PREDECODE_HH

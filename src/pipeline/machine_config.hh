@@ -13,7 +13,6 @@
 #ifndef CONOPT_PIPELINE_MACHINE_CONFIG_HH
 #define CONOPT_PIPELINE_MACHINE_CONFIG_HH
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -92,18 +91,6 @@ struct MachineConfig
      * them wait on one file.
      */
     unsigned wakeListCapacity() const { return 3 * schedTotalEntries(); }
-
-    /**
-     * Hash buckets for the store-queue address window (OooCore's load
-     * forwarding/conflict scan). Power of two ≥ 2× the ROB bound on
-     * in-flight stores, so chains stay short even when every ROB entry
-     * is a store. Host-side sizing only — never affects timing.
-     */
-    unsigned
-    storeWindowBuckets() const
-    {
-        return unsigned(std::bit_ceil(uint64_t(robEntries) * 2));
-    }
 
     // --- presets -----------------------------------------------------------
     static MachineConfig baseline();

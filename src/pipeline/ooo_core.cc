@@ -42,7 +42,6 @@ OooCore::reset(const MachineConfig &config)
     // Pipeline state.
     cycle_ = 0;
     halted_ = false;
-    progress_ = false;
     stats_ = SimStats{};
     retiredCount_ = 0;
     mispredictPending_ = false;
@@ -53,7 +52,6 @@ OooCore::reset(const MachineConfig &config)
     portsUsedThisCycle_ = 0;
     agenUsedThisCycle_ = 0;
     lastRetireCycle_ = 0;
-    ticksExecuted_ = 0;
     // Allocation-retaining reset: the zero-allocation warm-path
     // contract (tests/test_session.cc) covers sampling-off runs, and
     // keeping it for sampling-on runs costs nothing — a capacity
@@ -95,13 +93,6 @@ OooCore::reset(const MachineConfig &config)
     hotStoreHi_.assign(soa_n, 0);
     hotStoreDataReg_.assign(soa_n, invalidPreg);
     hotStoreDataFp_.assign(soa_n, 0);
-
-    // Store-window hash chains (two nodes per SoA slot; see header).
-    storeBucketMask_ = config.storeWindowBuckets() - 1;
-    storeBucketHead_.assign(storeBucketMask_ + 1, -1);
-    storeNodeNext_.assign(2 * soa_n, -1);
-    storeNodePrev_.assign(2 * soa_n, -1);
-    storeNodeSeq_.assign(2 * soa_n, 0);
 
     // Event-driven scheduler state.
     schedCount_.fill(0);
@@ -295,13 +286,8 @@ OooCore::run()
 {
     while (!halted_) {
         tick();
-        ++ticksExecuted_;
         if (cycle_ >= cfg_.maxCycles)
             conopt_fatal("simulation exceeded maxCycles");
-        // Fast-forward is only worth attempting after a tick in which
-        // no stage did anything: a busy pipeline pays nothing for it.
-        if (fastForwardEnabled_ && !progress_ && !halted_)
-            fastForward();
     }
     finalizeStats();
     return stats_;
@@ -313,7 +299,6 @@ OooCore::tick()
     ++cycle_;
     portsUsedThisCycle_ = 0;
     agenUsedThisCycle_ = 0;
-    progress_ = false;
 
     retireStage();
     writebackStage();
@@ -340,168 +325,6 @@ OooCore::tick()
                      isa::opInfo(h.dyn.inst.op).mnemonic,
                      int(hotDone_[hx]), int(hotIssued_[hx]));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Idle-cycle fast-forward
-// ---------------------------------------------------------------------------
-
-void
-OooCore::fastForward()
-{
-    // Work is possible next cycle whenever any scheduler holds a ready
-    // entry (per-cycle FU budgets reset every cycle).
-    for (const auto &q : ready_)
-        if (!q.empty())
-            return;
-
-    const uint64_t next = cycle_ + 1;
-    uint64_t target = neverCycle;
-    const auto consider = [&target](uint64_t c) {
-        if (c < target)
-            target = c;
-    };
-
-    // Execution completions (writeback) and operand-ready events.
-    if (!completions_.empty())
-        consider(std::max(completions_.back().first, next));
-    if (!readyEvents_.empty())
-        consider(std::max(readyEvents_.back().first, next));
-
-    // Rename: the oldest front-pipe entry. If it has already matured,
-    // rename is blocked on a resource; every such resource frees only
-    // through retirement or dispatch, whose bounds are considered
-    // below (and on the cycle they free, rename proceeds in the same
-    // tick, since rename runs after both). If rename is NOT blocked,
-    // it renames next cycle: no skip.
-    if (!frontPipe_.empty()) {
-        const uint64_t mature = frontPipe_.nextReadyCycle();
-        if (mature > next) {
-            consider(mature);
-        } else if (rob_.size() < cfg_.robEntries &&
-                   intPrf_.freeCount() >= 2 && fpPrf_.freeCount() >= 2 &&
-                   dispatchPipe_.size() < dispatchCap_) {
-            return;
-        }
-    }
-
-    // Dispatch: same structure. A matured head blocked by a full
-    // scheduler unblocks only when an issue frees a slot — and with
-    // every ready queue empty, the next issue opportunity is the next
-    // ready event, already considered.
-    if (!dispatchPipe_.empty()) {
-        const uint64_t mature = dispatchPipe_.nextReadyCycle();
-        if (mature > next) {
-            consider(mature);
-        } else {
-            const RobEntry &d = entryOf(dispatchPipe_.front());
-            if (schedCount_[schedIndex(d.opt.schedClass)] <
-                cfg_.schedEntries) {
-                return;
-            }
-        }
-    }
-
-    // Retirement at the ROB head. A store commits once its address and
-    // data are ready (ports reset each cycle); a done entry retires at
-    // its doneCycle; a not-yet-done entry is covered by its completion
-    // event or, if unissued, by the wake chain ending in one of the
-    // structures above.
-    if (!rob_.empty()) {
-        const RobEntry &h = rob_.front();
-        const size_t hx = soaIndex(h.dyn.seq);
-        if (h.isStore) {
-            const uint64_t addr_c = hotAddrReadyCycle_[hx];
-            const core::SrcDep &d = h.opt.storeDataDep;
-            const uint64_t data_c =
-                d.reg == invalidPreg ? 0 : prfFor(d.isFp).readyAt(d.reg);
-            if (addr_c != neverCycle && data_c != neverCycle)
-                consider(std::max({addr_c, data_c, next}));
-        } else if (hotDone_[hx]) {
-            consider(std::max(hotDoneCycle_[hx], next));
-        }
-    }
-
-    // Fetch: blocked before max(resume, icache-ready); counters for
-    // the skipped stall cycles are credited below. When fetch can act
-    // next cycle there is no skip. (A pending mispredict stalls fetch
-    // until resolution, which the bounds above cover.) A full front
-    // queue blocks fetch for the whole skip — the queue only drains
-    // through rename, which makes no progress inside a skip — so it
-    // needs no cycle bound at all, just its stall counter.
-    uint64_t fetch_resume = 0, icache_ready = 0;
-    const bool fetch_queue_full =
-        frontPipe_.size() + cfg_.fetchWidth > frontCap_;
-    if (!emu_.done() && !mispredictPending_) {
-        fetch_resume = fetchResumeCycle_;
-        icache_ready = icacheReadyCycle_;
-        if (!fetch_queue_full) {
-            const uint64_t unblocked = std::max(fetch_resume, icache_ready);
-            if (unblocked <= next)
-                return;
-            consider(unblocked);
-        }
-    }
-
-    if (target == neverCycle)
-        return; // nothing scheduled: let the deadlock check handle it
-    target = std::min(target, cfg_.maxCycles);
-    if (target <= next)
-        return;
-
-    // --- account the skipped cycles [next, target-1] --------------------
-    // Every skipped cycle is provably a no-op for every stage except
-    // the stall counters, whose per-cycle increments are replicated
-    // arithmetically here. All inputs are constant across the skipped
-    // range (no stage makes progress in it).
-    const uint64_t a = next;
-    const uint64_t b = target - 1;
-    const uint64_t n = b - a + 1;
-
-    if (!emu_.done()) {
-        if (mispredictPending_) {
-            stats_.fetchStallMispredict += n;
-        } else {
-            // fetchStage checks the resume gate first, then I-cache,
-            // then queue occupancy: cycles below fetch_resume stall on
-            // the mispredict counter, cycles below icache_ready on the
-            // I-cache one, and any cycles past both (possible only
-            // when the front queue is full, which capped no bound) on
-            // the queue-full counter.
-            if (fetch_resume > a)
-                stats_.fetchStallMispredict += std::min(b + 1, fetch_resume) - a;
-            const uint64_t ic_from = std::max(a, fetch_resume);
-            if (icache_ready > ic_from)
-                stats_.fetchStallIcache += std::min(b + 1, icache_ready) - ic_from;
-            const uint64_t qf_from =
-                std::max(a, std::max(fetch_resume, icache_ready));
-            if (b + 1 > qf_from) {
-                conopt_assert(fetch_queue_full);
-                stats_.fetchStallQueueFull += b + 1 - qf_from;
-            }
-        }
-    }
-
-    if (!frontPipe_.empty() && frontPipe_.nextReadyCycle() <= a) {
-        // Matured head, rename blocked (else we returned above); the
-        // blocking reason is stable across the range and checked in
-        // renameStage's priority order.
-        if (rob_.size() >= cfg_.robEntries) {
-            stats_.renameStallRob += n;
-        } else if (intPrf_.freeCount() < 2 || fpPrf_.freeCount() < 2) {
-            stats_.renameStallPregs += n;
-        } else {
-            conopt_assert(dispatchPipe_.size() >= dispatchCap_);
-            stats_.renameStallDispatchQ += n;
-        }
-    }
-
-    if (!dispatchPipe_.empty() && dispatchPipe_.nextReadyCycle() <= a) {
-        // Matured head, scheduler full (else we returned above).
-        stats_.dispatchStallSched += n;
-    }
-
-    cycle_ = target - 1; // the next tick() advances into `target`
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +383,6 @@ OooCore::retireStage()
             conopt_assert(!storeQueue_.empty() &&
                           storeQueue_.front() == e.dyn.seq);
             storeQueue_.pop_front();
-            storeWindowRemove(e.dyn.seq);
         }
 
         // Release the references this instruction held.
@@ -589,7 +411,6 @@ OooCore::retireStage()
             ipcMarkCycle_ = cycle_;
         }
         lastRetireCycle_ = cycle_;
-        progress_ = true;
         rob_.pop_front();
         if (halted_)
             break;
@@ -606,7 +427,6 @@ OooCore::writebackStage()
     while (!completions_.empty() && completions_.back().first <= cycle_) {
         const uint64_t seq = completions_.back().second;
         completions_.pop_back();
-        progress_ = true;
         RobEntry &e = entryOf(seq);
         const size_t ix = soaIndex(seq);
         hotDone_[ix] = 1;
@@ -643,7 +463,6 @@ OooCore::tryIssueAlu(RobEntry &e, unsigned &budget)
     --budget;
     hotIssued_[ix] = 1;
     e.issueCycle = cycle_;
-    progress_ = true;
     const unsigned lat = e.opt.execLatency;
     if (e.opt.destPreg != invalidPreg && !e.opt.destAliased) {
         setRegReady(e.opt.destIsFp, e.opt.destPreg, cycle_ + lat);
@@ -654,114 +473,27 @@ OooCore::tryIssueAlu(RobEntry &e, unsigned &budget)
     return true;
 }
 
-size_t
-OooCore::storeBucketOf(uint64_t granule) const
-{
-    return size_t(avalanche64(granule)) & storeBucketMask_;
-}
-
-void
-OooCore::storeWindowInsert(uint64_t seq)
-{
-    // Called at rename, after the hot store range is recorded. Stores
-    // rename in ascending seq order and push at chain heads, so every
-    // chain stays sorted youngest first.
-    const size_t sx = soaIndex(seq);
-    const uint64_t g0 = hotStoreLo_[sx] >> storeGranuleShift;
-    const uint64_t g1 = (hotStoreHi_[sx] - 1) >> storeGranuleShift;
-    for (uint64_t g = g0;; ++g) {
-        const auto node = int32_t(2 * sx + size_t(g - g0));
-        const size_t b = storeBucketOf(g);
-        const int32_t head = storeBucketHead_[b];
-        storeNodeSeq_[size_t(node)] = seq;
-        storeNodePrev_[size_t(node)] = -1;
-        storeNodeNext_[size_t(node)] = head;
-        if (head >= 0)
-            storeNodePrev_[size_t(head)] = node;
-        storeBucketHead_[b] = node;
-        if (g == g1)
-            break;
-    }
-}
-
-void
-OooCore::storeWindowRemove(uint64_t seq)
-{
-    // Called at retire. The hot store range at this SoA slot is still
-    // the one recorded at rename: a colliding seq is soaMask_+1 ahead,
-    // more than the in-flight span, so it cannot have renamed yet.
-    const size_t sx = soaIndex(seq);
-    const uint64_t g0 = hotStoreLo_[sx] >> storeGranuleShift;
-    const uint64_t g1 = (hotStoreHi_[sx] - 1) >> storeGranuleShift;
-    for (uint64_t g = g0;; ++g) {
-        const auto node = int32_t(2 * sx + size_t(g - g0));
-        const int32_t prev = storeNodePrev_[size_t(node)];
-        const int32_t next = storeNodeNext_[size_t(node)];
-        if (prev >= 0) {
-            storeNodeNext_[size_t(prev)] = next;
-        } else {
-            const size_t b = storeBucketOf(g);
-            conopt_assert(storeBucketHead_[b] == node);
-            storeBucketHead_[b] = next;
-        }
-        if (next >= 0)
-            storeNodePrev_[size_t(next)] = prev;
-        if (g == g1)
-            break;
-    }
-}
-
 OooCore::StoreScan
 OooCore::scanOlderStores(const RobEntry &e)
 {
     const uint64_t lo = e.dyn.memAddr;
     const uint64_t hi = lo + e.dyn.memSize;
 
-    // Find the youngest older in-flight store overlapping [lo, hi) —
-    // the one store whose state decides this load, under either scan.
+    // Find the youngest older in-flight store overlapping [lo, hi): the
+    // one store whose state decides this load. The queue is in seq
+    // order, so walk it youngest to oldest.
     uint64_t young_seq = 0;
     bool have = false;
-    if (storeWindowEnabled_) {
-        // Hashed window: probe only the load's ≤2 granule chains. Any
-        // overlapping store shares a granule with the load, so it is
-        // on a probed chain; chains are youngest first, so the first
-        // overlapping hit per chain is that chain's youngest, and the
-        // max across chains is the global youngest. The exact range
-        // test also rejects bucket-collision neighbours.
-        const uint64_t g0 = lo >> storeGranuleShift;
-        const uint64_t g1 = (hi - 1) >> storeGranuleShift;
-        for (uint64_t g = g0;; ++g) {
-            for (int32_t node = storeBucketHead_[storeBucketOf(g)];
-                 node >= 0; node = storeNodeNext_[size_t(node)]) {
-                const uint64_t s_seq = storeNodeSeq_[size_t(node)];
-                if (s_seq >= e.dyn.seq)
-                    continue; // younger than the load
-                const size_t sx = soaIndex(s_seq);
-                if (hotStoreHi_[sx] <= lo || hi <= hotStoreLo_[sx])
-                    continue; // disjoint
-                if (!have || s_seq > young_seq) {
-                    young_seq = s_seq;
-                    have = true;
-                }
-                break;
-            }
-            if (g == g1)
-                break;
-        }
-    } else {
-        // Reference path: full queue scan, youngest to oldest. The
-        // hot-array walk the windowed path must stay equivalent to.
-        for (size_t i = storeQueue_.size(); i-- > 0;) {
-            const uint64_t s_seq = storeQueue_[i];
-            if (s_seq >= e.dyn.seq)
-                continue;
-            const size_t sx = soaIndex(s_seq);
-            if (hotStoreHi_[sx] <= lo || hi <= hotStoreLo_[sx])
-                continue; // disjoint
-            young_seq = s_seq;
-            have = true;
-            break;
-        }
+    for (size_t i = storeQueue_.size(); i-- > 0;) {
+        const uint64_t s_seq = storeQueue_[i];
+        if (s_seq >= e.dyn.seq)
+            continue;
+        const size_t sx = soaIndex(s_seq);
+        if (hotStoreHi_[sx] <= lo || hi <= hotStoreLo_[sx])
+            continue; // disjoint
+        young_seq = s_seq;
+        have = true;
+        break;
     }
 
     if (!have)
@@ -795,7 +527,6 @@ OooCore::tryIssueMem(RobEntry &e)
         ++agenUsedThisCycle_;
         hotIssued_[ix] = 1;
         e.issueCycle = cycle_;
-        progress_ = true;
         completeAt(cycle_ + cfg_.regReadDepth + 1, e.dyn.seq);
         return true;
     }
@@ -831,7 +562,6 @@ OooCore::tryIssueMem(RobEntry &e)
         ++agenUsedThisCycle_;
     hotIssued_[ix] = 1;
     e.issueCycle = cycle_;
-    progress_ = true;
     if (e.opt.destPreg != invalidPreg && !e.opt.destAliased) {
         setRegReady(e.opt.destIsFp, e.opt.destPreg,
                     cycle_ + agen_lat + mem_lat);
@@ -851,7 +581,6 @@ OooCore::issueStage()
     while (!readyEvents_.empty() && readyEvents_.back().first <= cycle_) {
         const uint64_t seq = readyEvents_.back().second;
         readyEvents_.pop_back();
-        progress_ = true;
         insertReady(hotSched_[soaIndex(seq)], seq);
     }
 
@@ -877,8 +606,8 @@ OooCore::issueStage()
     }
 
     // Memory scheduler: entries can still fail on ports, agen, or
-    // memory ordering; those stay queued (and block fast-forward, so
-    // they are re-examined every cycle like the polling loop did).
+    // memory ordering; those stay queued and are re-examined every
+    // cycle, like the polling loop did.
     auto &mq = ready_[3];
     size_t i = 0;
     while (i < mq.size()) {
@@ -916,7 +645,6 @@ OooCore::dispatchStage()
         registerWakeups(seq, e, k);
         dispatchPipe_.pop();
         ++dispatched;
-        progress_ = true;
     }
 }
 
@@ -1020,7 +748,6 @@ OooCore::renameStage()
             hotStoreHi_[ix] = e.dyn.memAddr + e.dyn.memSize;
             hotStoreDataReg_[ix] = opt.storeDataDep.reg;
             hotStoreDataFp_[ix] = opt.storeDataDep.isFp ? 1 : 0;
-            storeWindowInsert(e.dyn.seq);
         }
         if (e.isLoad && opt.addrKnown)
             hotAddrReadyCycle_[ix] = opt_cycle;
@@ -1041,7 +768,6 @@ OooCore::renameStage()
         }
 
         ++renamed;
-        progress_ = true;
     }
 }
 
@@ -1071,7 +797,6 @@ OooCore::fetchStage()
         return;
     }
 
-    progress_ = true;
     for (unsigned n = 0; n < cfg_.fetchWidth && !emu_.done(); ++n) {
         const uint64_t pc = emu_.state().pc;
         const uint64_t line = pc >> ilineShift_;

@@ -13,6 +13,14 @@
  * instructions are never renamed, which matches the paper's recovery
  * model (wrong-path optimizer state is discarded).
  *
+ * run() ticks every simulated cycle, idle or not; each stage counts
+ * its own stall cycles as it finds itself blocked. Loads decide
+ * forwarding and ordering by walking the in-flight store queue from
+ * its youngest entry. Skipping idle cycles and hashing the store
+ * queue were both measured and bought no host time (README,
+ * "Host-speed layer: pre-decode"): idle cycles are the cheapest
+ * ones, and the walk averages under one entry per load.
+ *
  * Host-performance architecture (simulated results are unaffected):
  *
  *  - Event-driven wakeup. Scheduler occupants are never polled. An
@@ -25,16 +33,6 @@
  *    queue, kept sorted by age — so issueStage() scans only entries
  *    that can actually issue, in exactly the age order the polling
  *    loop used.
- *
- *  - Idle-cycle fast-forward. When fetch is provably blocked
- *    (mispredict resolution, redirect penalty, I-cache miss), no
- *    scheduler has a ready entry, and the pipes hold no matured
- *    items, run() computes the next cycle at which anything can
- *    happen (completion events, ready events, pipe maturities, fetch
- *    unblock, head-of-ROB retirement) and jumps there, crediting the
- *    skipped cycles to the same fetch-stall counters the per-cycle
- *    path would have incremented. Memory-bound workloads spend most
- *    of their cycles exactly this way.
  *
  *  - Hot-field SoA split. The per-cycle-touched state of in-flight
  *    instructions (done/issued flags, completion and address-ready
@@ -93,29 +91,10 @@ class OooCore
     /** Simulate until the program's HALT retires (or maxCycles). */
     const SimStats &run();
 
-    /** Advance one cycle (exposed for fine-grained tests). Never
-     *  fast-forwards: a manual tick() loop is the reference per-cycle
-     *  path the equivalence tests compare against. */
+    /** Advance one cycle: every stage runs once, in reverse pipeline
+     *  order. run() is exactly a loop of these (exposed for
+     *  fine-grained tests). */
     void tick();
-
-    /**
-     * Enable/disable idle-cycle fast-forward in run() (default on).
-     * Purely a host-speed switch — both settings produce identical
-     * SimStats (tests/test_wakeup.cc pins this). Survives reset().
-     */
-    void setFastForward(bool on) { fastForwardEnabled_ = on; }
-    bool fastForwardEnabled() const { return fastForwardEnabled_; }
-
-    /**
-     * Enable/disable the address-hashed store-queue window in the load
-     * forwarding/conflict scan (default on). Off, loads scan the whole
-     * in-flight store queue — the reference path the equivalence tests
-     * compare against. Purely a host-speed switch: both settings
-     * produce identical SimStats (tests/test_wakeup.cc pins this).
-     * Survives reset().
-     */
-    void setStoreWindow(bool on) { storeWindowEnabled_ = on; }
-    bool storeWindowEnabled() const { return storeWindowEnabled_; }
 
     /**
      * Arm per-interval IPC sampling: every @p intervalInsts retired
@@ -127,8 +106,8 @@ class OooCore
      * Host-side observability only: the hook reads the retired and
      * cycle counters and writes a side accumulator — it never touches
      * simulated state, so SimStats are bit-identical with sampling on
-     * or off, fast-forward on or off. Settings survive reset() like
-     * setFastForward(); the collected samples clear per run.
+     * or off. Settings survive reset(); the collected samples clear
+     * per run.
      */
     void
     setIpcSampling(uint64_t intervalInsts,
@@ -157,10 +136,9 @@ class OooCore
 
     bool halted() const { return halted_; }
     uint64_t cycle() const { return cycle_; }
-    /** Ticks run() actually executed; cycle() minus this is the number
-     *  of idle cycles fast-forward skipped. Host-side introspection
-     *  only — deliberately not part of SimStats. */
-    uint64_t ticksExecuted() const { return ticksExecuted_; }
+    /** Ticks run() executed: one per simulated cycle, since run()
+     *  never skips a cycle. Host-side introspection only. */
+    uint64_t ticksExecuted() const { return cycle_; }
     const SimStats &stats() const { return stats_; }
     const PhysRegFile &intPrf() const { return intPrf_; }
     const PhysRegFile &fpPrf() const { return fpPrf_; }
@@ -218,13 +196,9 @@ class OooCore
     /** Outcome of a load's ordering scan against older stores. */
     enum class StoreScan : uint8_t { Clear, Forward, Block };
     /** Decide @p e (a load) against the youngest overlapping older
-     *  in-flight store — via the hashed window, or the full queue scan
-     *  when setStoreWindow(false). Identical verdicts by construction:
-     *  both act on the same youngest overlapping store. */
+     *  in-flight store, found by walking the store queue from its
+     *  youngest entry. */
     StoreScan scanOlderStores(const RobEntry &e);
-    size_t storeBucketOf(uint64_t granule) const;
-    void storeWindowInsert(uint64_t seq);
-    void storeWindowRemove(uint64_t seq);
     bool tryIssueMem(RobEntry &e);
     bool tryIssueAlu(RobEntry &e, unsigned &budget);
     void completeAt(uint64_t cycle, uint64_t seq);
@@ -244,10 +218,6 @@ class OooCore
     void scheduleReady(uint64_t seq, uint64_t ready);
     /** Insert @p seq into ready queue @p sched, keeping age order. */
     void insertReady(unsigned sched, uint64_t seq);
-    /** Jump cycle_ to just before the next cycle anything can happen,
-     *  crediting skipped fetch-stall cycles. No-op when any work is
-     *  possible next cycle. */
-    void fastForward();
 
     // --- configuration -----------------------------------------------------
     MachineConfig cfg_;
@@ -266,11 +236,6 @@ class OooCore
     // --- pipeline state -------------------------------------------------------
     uint64_t cycle_ = 0;
     bool halted_ = false;
-    bool fastForwardEnabled_ = true;
-    /** Did any stage do work this tick? Cleared each tick; when still
-     *  false afterwards the run loop attempts a fast-forward, keeping
-     *  the skip logic entirely off the busy-cycle path. */
-    bool progress_ = false;
     SimStats stats_;
 
     DelayPipe<FetchedInst> frontPipe_;
@@ -320,24 +285,6 @@ class OooCore
     /** In-flight stores (seqs), oldest first, for load ordering. */
     RingBuffer<uint64_t> storeQueue_;
 
-    /**
-     * Address-hashed window over the in-flight stores: per-8-byte-
-     * granule bucket chains, youngest first, so a load's ordering scan
-     * visits only possibly-overlapping stores instead of the whole
-     * queue. A store at SoA slot sx owns nodes 2*sx and 2*sx+1, one
-     * per granule its [lo, hi) range touches (any ≤8-byte access spans
-     * ≤2 consecutive granules). Maintained unconditionally — insert
-     * and unlink are O(1) — while storeWindowEnabled_ only selects
-     * which scan tryIssueMem runs.
-     */
-    static constexpr uint64_t storeGranuleShift = 3;
-    bool storeWindowEnabled_ = true;
-    size_t storeBucketMask_ = 0;
-    std::vector<int32_t> storeBucketHead_; ///< bucket -> head node, -1 none
-    std::vector<int32_t> storeNodeNext_;
-    std::vector<int32_t> storeNodePrev_;
-    std::vector<uint64_t> storeNodeSeq_;
-
     /** Completion events (cycle, seq), kept sorted descending so the
      *  next event is at back(): a flat sorted-insertion list pops in
      *  exactly the order of the min-heap it replaces ((cycle, seq)
@@ -356,7 +303,6 @@ class OooCore
     unsigned agenUsedThisCycle_ = 0;
 
     uint64_t lastRetireCycle_ = 0;
-    uint64_t ticksExecuted_ = 0;
 
     // --- per-interval IPC sampling (host-side observability) --------------
     uint64_t ipcSampleInterval_ = 0; ///< 0 = off (gated runs)

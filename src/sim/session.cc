@@ -31,35 +31,8 @@ SimSession::reset(ProgramPtr program,
         emu_->reset(program_, max_insts);
         core_->reset(config);
     }
-    emu_->setPredecode(predecode_);
-    core_->setFastForward(fastForward_);
-    core_->setStoreWindow(storeWindow_);
     core_->setIpcSampling(ipcInterval_, ipcCapacity_, ipcSeed_);
     armed_ = true;
-}
-
-void
-SimSession::setFastForward(bool on)
-{
-    fastForward_ = on;
-    if (core_)
-        core_->setFastForward(on);
-}
-
-void
-SimSession::setPredecode(bool on)
-{
-    predecode_ = on;
-    if (emu_)
-        emu_->setPredecode(on);
-}
-
-void
-SimSession::setStoreWindow(bool on)
-{
-    storeWindow_ = on;
-    if (core_)
-        core_->setStoreWindow(on);
 }
 
 void

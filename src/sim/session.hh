@@ -83,39 +83,13 @@ class SimSession
     bool armed() const { return armed_; }
 
     /**
-     * Enable/disable the core's idle-cycle fast-forward (default on).
-     * A host-speed switch only: results are bit-identical either way
-     * (tests/test_wakeup.cc). Sticky across reset()/simulate() calls.
-     */
-    void setFastForward(bool on);
-    bool fastForwardEnabled() const { return fastForward_; }
-
-    /**
-     * Enable/disable the emulator's shared pre-decode fast path
-     * (default on). A host-speed switch only: results are bit-identical
-     * either way (tests/test_predecode.cc). Sticky across
-     * reset()/simulate() calls.
-     */
-    void setPredecode(bool on);
-    bool predecodeEnabled() const { return predecode_; }
-
-    /**
-     * Enable/disable the core's address-hashed store-queue window
-     * (default on). A host-speed switch only: results are bit-identical
-     * either way (tests/test_wakeup.cc). Sticky across
-     * reset()/simulate() calls.
-     */
-    void setStoreWindow(bool on);
-    bool storeWindowEnabled() const { return storeWindow_; }
-
-    /**
      * Arm per-interval IPC sampling on the core: every @p intervalInsts
      * retired instructions one IPC sample enters a bounded reservoir of
      * @p reservoirCapacity slots drawn deterministically from @p seed
      * (0 interval = off, the default). Sticky across reset()/simulate()
-     * like setFastForward(). Host-side observability only — simulated
-     * results are bit-identical with sampling on or off; the samples
-     * come back in SimResult::ipcSamples.
+     * calls. Host-side observability only — simulated results are
+     * bit-identical with sampling on or off; the samples come back in
+     * SimResult::ipcSamples.
      */
     void setIpcSampling(uint64_t intervalInsts,
                         size_t reservoirCapacity = 256, uint64_t seed = 0);
@@ -143,9 +117,6 @@ class SimSession
     std::unique_ptr<arch::Emulator> emu_;
     std::unique_ptr<pipeline::OooCore> core_;
     bool armed_ = false;
-    bool fastForward_ = true;
-    bool predecode_ = true;
-    bool storeWindow_ = true;
     uint64_t ipcInterval_ = 0;
     size_t ipcCapacity_ = 256;
     uint64_t ipcSeed_ = 0;

@@ -376,30 +376,30 @@ SweepRunner::run(std::vector<SimJob> jobs)
     // pre-decode table and resident memory image stay hot and only the
     // MachineConfig changes. Groups (and positions within a group)
     // follow submission order, and results land at submission indices,
-    // so the output is identical to unbatched execution.
+    // so the output does not depend on the grouping or the thread
+    // count. Per-job seeds are ignored by the grouping on purpose:
+    // label-derived seeds always differ per job, and a seed only feeds
+    // host-side IPC sampling (re-armed per job) and result-cache keys,
+    // never simulated state.
+    //
+    // (prebuilt program, workload name, scale, maxInsts): prebuilt
+    // programs group by object identity, registry workloads by (name,
+    // scale) — exactly the ProgramCache key.
+    using GroupKey = std::tuple<const assembler::Program *, std::string,
+                                unsigned, uint64_t>;
     std::vector<std::vector<size_t>> groups;
     groups.reserve(jobs.size());
-    if (opts_.batchJobs) {
-        // (prebuilt program, workload name, scale, maxInsts): prebuilt
-        // programs group by object identity, registry workloads by
-        // (name, scale) — exactly the ProgramCache key.
-        using GroupKey = std::tuple<const assembler::Program *,
-                                    std::string, unsigned, uint64_t>;
-        std::map<GroupKey, size_t> groupIndex;
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            const SimJob &j = jobs[i];
-            GroupKey key{j.program.get(), j.program ? std::string()
-                                                    : j.workload,
-                         j.scale, j.maxInsts};
-            const auto [it, inserted] =
-                groupIndex.try_emplace(std::move(key), groups.size());
-            if (inserted)
-                groups.emplace_back();
-            groups[it->second].push_back(i);
-        }
-    } else {
-        for (size_t i = 0; i < jobs.size(); ++i)
-            groups.push_back({i});
+    std::map<GroupKey, size_t> groupIndex;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const SimJob &j = jobs[i];
+        GroupKey key{j.program.get(),
+                     j.program ? std::string() : j.workload, j.scale,
+                     j.maxInsts};
+        const auto [it, inserted] =
+            groupIndex.try_emplace(std::move(key), groups.size());
+        if (inserted)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
     }
 
     std::vector<JobResult> results(jobs.size());

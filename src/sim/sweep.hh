@@ -295,25 +295,6 @@ struct SweepOptions
 
     /** Reservoir capacity per job when sampling is on. */
     size_t ipcReservoirCapacity = 256;
-
-    /**
-     * Group jobs that run the same program at the same (scale,
-     * maxInsts) so one worker executes them back-to-back on its warm
-     * session: the emulator keeps the same program bound (its
-     * pre-decode table and resident memory pages stay hot) and only
-     * the MachineConfig changes between runs. Default on.
-     *
-     * An engine-level execution knob, deliberately NOT part of the
-     * RunOptions wire schema: it cannot change any simulated result,
-     * only which worker runs a job and in what order. Results still
-     * land in submission order and shard slicing happens first, so
-     * artifacts are byte-identical with batching on or off
-     * (tests/test_sweep_runner.cc pins this). Per-job seeds are
-     * ignored by the grouping on purpose: label-derived seeds always
-     * differ per job, and a seed only feeds host-side IPC sampling
-     * (re-armed per job) and result-cache keys, never simulated state.
-     */
-    bool batchJobs = true;
 };
 
 /**

@@ -78,15 +78,6 @@ class DelayPipe
     T &front() { return entries_.front().item; }
     const T &front() const { return entries_.front().item; }
 
-    /** The cycle at which the oldest item matures (the pipe's next
-     *  event, for idle-cycle fast-forward). Must not be empty. */
-    uint64_t
-    nextReadyCycle() const
-    {
-        conopt_assert(!entries_.empty());
-        return entries_.front().readyCycle;
-    }
-
     /** Remove the oldest item. */
     void pop() { entries_.pop_front(); }
 

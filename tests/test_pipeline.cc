@@ -6,6 +6,8 @@
  * in-order retirement, and physical-register leak checking.
  */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/arch/emulator.hh"
@@ -230,6 +232,66 @@ TEST(Pipeline, StoreLoadForwardingThroughStoreQueue)
                                  pipeline::MachineConfig::baseline());
     EXPECT_TRUE(r.halted);
     EXPECT_GT(r.stats.loadsForwardedFromStoreQ, 50u);
+
+    // Partial overlap: an older, narrower store that covers only the
+    // low half of an 8-byte load cannot supply it, so the load must
+    // wait for the store to leave the queue and read memory. The two
+    // programs differ only in the store width; the full-width one is
+    // the forwarding control.
+    constexpr uint64_t kHigh = 0x1234567800000000ull;
+    const auto build = [](bool narrow_store) {
+        Assembler b;
+        const uint64_t cell = b.dataQuads({kHigh, 0});
+        b.li(R1, int64_t(cell));
+        b.li(R2, 99);
+        b.li(R5, 0);
+        for (int i = 0; i < 100; ++i) {
+            b.addq(R2, 1, R2);
+            if (narrow_store)
+                b.stl(R2, 0, R1); // writes bytes [0, 4) of the quad
+            else
+                b.stq(R2, 0, R1);
+            b.ldq(R3, 0, R1); // reads bytes [0, 8)
+            b.addq(R5, R3, R5);
+        }
+        b.stq(R5, 8, R1); // the sum of every loaded value
+        b.halt();
+        return std::make_pair(b.finish(), cell);
+    };
+    // What each ldq must return, summed: with the narrow store the
+    // high half keeps the initial bytes.
+    uint64_t narrowSum = 0, wideSum = 0;
+    for (uint64_t v = 100; v < 200; ++v) {
+        narrowSum += kHigh | v;
+        wideSum += v;
+    }
+
+    const auto [narrowProg, narrowBuf] = build(true);
+    const auto [wideProg, wideBuf] = build(false);
+    for (const auto &cfg : {pipeline::MachineConfig::baseline(),
+                            pipeline::MachineConfig::optimized()}) {
+        arch::Emulator narrowEmu(narrowProg);
+        pipeline::OooCore narrowCore(cfg, narrowEmu);
+        const auto narrow = narrowCore.run();
+        arch::Emulator wideEmu(wideProg);
+        pipeline::OooCore wideCore(cfg, wideEmu);
+        const auto wide = wideCore.run();
+
+        EXPECT_TRUE(narrow.halted);
+        EXPECT_EQ(narrow.loadsForwardedFromStoreQ, 0u)
+            << "a partially overlapping store forwarded to a wider load";
+        // The loaded values are the emulator's, and they include the
+        // bytes the narrow store did not write.
+        EXPECT_EQ(narrowEmu.memory().read(narrowBuf + 8, 8), narrowSum);
+        EXPECT_EQ(wideEmu.memory().read(wideBuf + 8, 8), wideSum);
+        // Non-vacuity: the narrow loads really met in-flight stores and
+        // waited on them, where the control forwarded instead.
+        if (!cfg.opt.enabled) {
+            EXPECT_GT(wide.loadsForwardedFromStoreQ, 50u);
+            EXPECT_GT(narrow.cycles, wide.cycles)
+                << "blocked loads cost no cycles: they never met a store";
+        }
+    }
 }
 
 TEST(Pipeline, NoPhysicalRegisterLeaks)

@@ -4,10 +4,14 @@
  *
  * The predecode layer (src/arch/predecode.*) is a host-speed cache of
  * the static half of Emulator::step(); it must be invisible in the
- * simulated results. These tests pin the on/off bit-exactness across
- * workloads and machine models, the cross-program correctness of the
- * shared process-wide cache through one warm session, the
- * allocation-free warm path, and the content-key/flattening basics.
+ * simulated results. Past the entry state, the timing core sees the
+ * emulator only through the DynInst stream and done(), so these tests
+ * pin that stream: a cached and a re-decoding emulator step side by
+ * side over every registered workload and must agree on every DynInst
+ * field. They also pin the
+ * cross-program correctness of the shared process-wide cache through
+ * one warm session, the allocation-free warm path, and the
+ * content-key/flattening basics.
  */
 
 #include <atomic>
@@ -19,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/arch/emulator.hh"
 #include "src/arch/predecode.hh"
 #include "src/pipeline/machine_config.hh"
 #include "src/pipeline/ooo_core.hh"
@@ -126,21 +131,17 @@ expectSameStats(const pipeline::SimStats &x, const pipeline::SimStats &y,
     EXPECT_EQ(x.mbc.flushes, y.mbc.flushes);
 }
 
-struct NamedConfig
+/** Every DynInst field the timing core reads, compared exactly. */
+bool
+sameDynInst(const arch::DynInst &x, const arch::DynInst &y)
 {
-    const char *name;
-    pipeline::MachineConfig cfg;
-};
-
-std::vector<NamedConfig>
-machineModels()
-{
-    return {
-        {"baseline", pipeline::MachineConfig::baseline()},
-        {"optimized", pipeline::MachineConfig::optimized()},
-        {"fetchBound", pipeline::MachineConfig::fetchBound(true)},
-        {"execBound", pipeline::MachineConfig::execBound(true)},
-    };
+    return x.seq == y.seq && x.pc == y.pc && x.inst.op == y.inst.op &&
+           x.inst.ra == y.inst.ra && x.inst.rb == y.inst.rb &&
+           x.inst.rc == y.inst.rc && x.inst.useImm == y.inst.useImm &&
+           x.inst.imm == y.inst.imm && x.srcA == y.srcA &&
+           x.srcB == y.srcB && x.srcC == y.srcC && x.result == y.result &&
+           x.memAddr == y.memAddr && x.memSize == y.memSize &&
+           x.taken == y.taken && x.nextPc == y.nextPc;
 }
 
 } // namespace
@@ -187,41 +188,49 @@ TEST(PredecodeProgram, FlattensOneRecordPerStaticInstruction)
 }
 
 // ---------------------------------------------------------------------------
-// On/off bit-exactness across workloads and machine models
+// On/off bit-exactness of the DynInst stream over every workload
 // ---------------------------------------------------------------------------
 
-TEST(Predecode, OnAndOffProduceIdenticalStatsAcrossModels)
+TEST(Predecode, OnAndOffStepIdenticalDynInstsOnEveryWorkload)
 {
-    const std::vector<std::string> workloads{"mcf", "gcc", "untst"};
-
-    sim::SimSession cached, reference;
-    reference.setPredecode(false);
-    ASSERT_FALSE(reference.predecodeEnabled());
-    ASSERT_TRUE(cached.predecodeEnabled()) << "predecode defaults on";
-
     auto &pc = arch::PredecodeCache::instance();
-    const uint64_t buildsBefore = pc.builds();
     const uint64_t hitsBefore = pc.hits();
 
-    for (const auto &wl : workloads) {
-        const auto program = programOf(wl);
-        for (const auto &[name, cfg] : machineModels()) {
-            const auto fast = cached.simulate(program, cfg);
-            const auto slow = reference.simulate(program, cfg);
-            const std::string what = wl + "/" + name;
-            expectSameStats(fast.stats, slow.stats, what);
-            EXPECT_EQ(fast.instructions, slow.instructions) << what;
-            EXPECT_EQ(fast.halted, slow.halted) << what;
+    uint64_t totalInsts = 0;
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const auto program = programOf(w.name);
+        arch::Emulator cached(program);
+        arch::Emulator reference(program);
+        reference.setPredecode(false);
+        ASSERT_TRUE(cached.predecodeActive()) << "predecode defaults on";
+        ASSERT_FALSE(reference.predecodeActive());
+
+        while (!cached.done() && !reference.done()) {
+            const arch::DynInst x = cached.step();
+            const arch::DynInst y = reference.step();
+            ASSERT_TRUE(sameDynInst(x, y))
+                << "streams diverge at seq " << y.seq << " pc 0x"
+                << std::hex << y.pc << " ("
+                << isa::disassemble(y.inst, y.pc) << ")";
         }
+        EXPECT_TRUE(cached.done());
+        EXPECT_TRUE(reference.done());
+        EXPECT_EQ(cached.halted(), reference.halted());
+        EXPECT_EQ(cached.instCount(), reference.instCount());
+        EXPECT_EQ(cached.state().intRegs, reference.state().intRegs);
+        EXPECT_EQ(cached.state().fpRegs, reference.state().fpRegs);
+        EXPECT_EQ(cached.memory().read(workloads::checksumAddr, 8),
+                  reference.memory().read(workloads::checksumAddr, 8));
+        totalInsts += reference.instCount();
     }
 
-    // Non-vacuity: the cached session actually consulted the shared
-    // cache (one build per distinct program at most, hits thereafter),
-    // and the reference session never touched it.
+    // Non-vacuity: the cached emulators really stepped through the
+    // shared cache's tables, over a meaningful instruction count.
     EXPECT_GT(pc.hits(), hitsBefore)
-        << "the predecode path never hit the cache: the equivalence "
+        << "the predecode path never hit the cache: the comparison "
            "above tested nothing";
-    EXPECT_LE(pc.builds() - buildsBefore, workloads.size());
+    EXPECT_GT(totalInsts, 1000000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,26 +273,6 @@ TEST(Predecode, WarmSessionSwitchesProgramsWithoutStaleDecode)
         << "a warm program switch rebuilt a table the cache already had";
 }
 
-TEST(Predecode, StickyAcrossSessionReuse)
-{
-    // setPredecode survives reset()/simulate() until changed, like
-    // setFastForward, and flipping it between runs on the SAME warm
-    // session still yields identical results.
-    const auto program = programOf("art");
-    const auto cfg = pipeline::MachineConfig::optimized();
-
-    sim::SimSession s;
-    const auto first = s.simulate(program, cfg);
-    s.setPredecode(false);
-    EXPECT_FALSE(s.predecodeEnabled());
-    const auto slow = s.simulate(program, cfg);
-    s.setPredecode(true);
-    const auto again = s.simulate(program, cfg);
-
-    expectSameStats(first.stats, slow.stats, "warm predecode-off rerun");
-    expectSameStats(first.stats, again.stats, "warm predecode-on rerun");
-}
-
 // ---------------------------------------------------------------------------
 // Zero heap allocations on the warm cached path
 // ---------------------------------------------------------------------------
@@ -298,11 +287,11 @@ TEST(Predecode, WarmCachedRunPerformsZeroHeapAllocations)
     const auto opt = pipeline::MachineConfig::optimized();
 
     sim::SimSession session;
-    ASSERT_TRUE(session.predecodeEnabled());
     // Cold pass over both configs sizes everything, including the
     // pre-decode table for prog.
     const auto coldBase = session.simulate(prog, base);
     const auto coldOpt = session.simulate(prog, opt);
+    ASSERT_TRUE(session.emulator().predecodeActive());
 
     const uint64_t before = g_newCalls.load(std::memory_order_relaxed);
     session.reset(prog, base);

@@ -42,7 +42,10 @@ smallSpec()
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Determinism: parallel == serial, job for job.
+// Determinism: parallel == serial, job for job and artifact byte for
+// byte. Same-program jobs run as one batch on one worker's warm
+// session, so this also pins that which worker runs which batch is
+// invisible.
 // ---------------------------------------------------------------------------
 
 TEST(SweepRunner, ParallelMatchesSerialJobForJob)
@@ -69,8 +72,13 @@ TEST(SweepRunner, ParallelMatchesSerialJobForJob)
                   b.sim.stats.opt.earlyExecuted);
         EXPECT_EQ(a.sim.stats.opt.loadsRemoved,
                   b.sim.stats.opt.loadsRemoved);
+        EXPECT_EQ(a.sim.stats.loadsForwardedFromStoreQ,
+                  b.sim.stats.loadsForwardedFromStoreQ);
         EXPECT_TRUE(b.sim.halted) << a.job.label;
     }
+    EXPECT_EQ(sim::BenchArtifact::fromSweep(s).toJson(),
+              sim::BenchArtifact::fromSweep(p).toJson())
+        << "the thread count changed artifact bytes";
 }
 
 TEST(SweepRunner, ManyThreadsManyJobsStillDeterministic)
@@ -93,47 +101,6 @@ TEST(SweepRunner, ManyThreadsManyJobsStillDeterministic)
         EXPECT_EQ(ra.all()[i].sim.stats.cycles,
                   rb.all()[i].sim.stats.cycles)
             << ra.all()[i].job.label;
-}
-
-// ---------------------------------------------------------------------------
-// Batched multi-config execution: an engine-level knob that must be
-// invisible in every result and artifact byte.
-// ---------------------------------------------------------------------------
-
-TEST(SweepRunner, BatchingOnOffProducesIdenticalResultsAndArtifacts)
-{
-    // batchJobs groups same-program jobs onto one warm worker session;
-    // results must stay in submission order with bit-identical stats,
-    // and the serialized artifact must not change by a byte — with any
-    // thread count on either side.
-    sim::ProgramCache cache;
-    sim::SweepOptions batched(4, &cache);
-    ASSERT_TRUE(batched.batchJobs) << "batching defaults on";
-    sim::SweepOptions unbatched(1, &cache);
-    unbatched.batchJobs = false;
-
-    const auto b = sim::SweepRunner(batched).run(smallSpec());
-    const auto u = sim::SweepRunner(unbatched).run(smallSpec());
-
-    ASSERT_EQ(b.size(), u.size());
-    ASSERT_EQ(b.size(), 9u);
-    for (size_t i = 0; i < b.size(); ++i) {
-        const auto &x = b.all()[i];
-        const auto &y = u.all()[i];
-        EXPECT_EQ(x.job.label, y.job.label) << i;
-        EXPECT_EQ(x.job.seed, y.job.seed) << x.job.label;
-        EXPECT_EQ(x.sim.instructions, y.sim.instructions) << x.job.label;
-        EXPECT_EQ(x.sim.stats.cycles, y.sim.stats.cycles) << x.job.label;
-        EXPECT_EQ(x.sim.stats.retired, y.sim.stats.retired);
-        EXPECT_EQ(x.sim.stats.loadsForwardedFromStoreQ,
-                  y.sim.stats.loadsForwardedFromStoreQ);
-        EXPECT_EQ(x.sim.stats.opt.earlyExecuted,
-                  y.sim.stats.opt.earlyExecuted);
-        EXPECT_TRUE(x.sim.halted) << x.job.label;
-    }
-    EXPECT_EQ(sim::BenchArtifact::fromSweep(b).toJson(),
-              sim::BenchArtifact::fromSweep(u).toJson())
-        << "batching changed artifact bytes";
 }
 
 // ---------------------------------------------------------------------------

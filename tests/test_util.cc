@@ -146,16 +146,6 @@ TEST(DelayPipe, PushSlotMaturesLikePush)
     EXPECT_TRUE(pipe.empty());
 }
 
-TEST(DelayPipe, NextReadyCycleTracksOldestEntry)
-{
-    DelayPipe<int> pipe(4);
-    pipe.push(10, 1);
-    pipe.push(12, 2);
-    EXPECT_EQ(pipe.nextReadyCycle(), 14u);
-    pipe.pop();
-    EXPECT_EQ(pipe.nextReadyCycle(), 16u);
-}
-
 TEST(PercentileAccumulator, NearestRankPercentiles)
 {
     pipeline::PercentileAccumulator acc;

@@ -1,31 +1,18 @@
 /**
  * @file
- * Event-driven wakeup / idle-cycle fast-forward tests.
- *
- * The timing core's host-perf machinery (per-register wake lists, the
- * ready-event scheduler, and run()'s idle-cycle fast-forward) must be
- * invisible in the simulated results: fast-forward on and off have to
- * produce bit-identical SimStats for every workload and machine model,
- * down to the per-cause stall counters that fast-forward replicates
- * arithmetically. These tests pin that equivalence end to end, verify
- * that fast-forward actually skips cycles somewhere (so the
- * equivalence is not vacuous), and unit-test the WakeList container
- * including its fixed-capacity overflow contract.
+ * WakeList tests: the per-register waiter lists behind the timing
+ * core's event-driven wakeup, including the fixed-capacity overflow
+ * contract. The wakeup machinery's effect on simulated results is
+ * pinned end to end by the tolerance-0 bench baselines.
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/pipeline/machine_config.hh"
-#include "src/pipeline/ooo_core.hh"
-#include "src/sim/session.hh"
 #include "src/util/wake_list.hh"
-#include "src/workloads/workload.hh"
 
 using namespace conopt;
 
@@ -104,204 +91,4 @@ TEST(WakeListDeathTest, OverflowIsRejectedNotGrown)
     wl.add(0, 1);
     wl.add(1, 2);
     EXPECT_DEATH(wl.add(2, 3), "WakeList overflow");
-}
-
-// ---------------------------------------------------------------------------
-// Fast-forward tick equivalence
-// ---------------------------------------------------------------------------
-
-namespace {
-
-sim::ProgramPtr
-programOf(const std::string &workload, unsigned scale = 1)
-{
-    const auto &w = workloads::workloadByName(workload);
-    return std::make_shared<const assembler::Program>(w.build(scale));
-}
-
-/** Every SimStats counter that feeds artifacts, tables, or figures —
- *  including the stall breakdown fast-forward replicates. */
-void
-expectSameStats(const pipeline::SimStats &x, const pipeline::SimStats &y,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(x.cycles, y.cycles);
-    EXPECT_EQ(x.retired, y.retired);
-    EXPECT_EQ(x.halted, y.halted);
-    EXPECT_EQ(x.branches, y.branches);
-    EXPECT_EQ(x.condBranches, y.condBranches);
-    EXPECT_EQ(x.mispredicted, y.mispredicted);
-    EXPECT_EQ(x.earlyResolvedBranches, y.earlyResolvedBranches);
-    EXPECT_EQ(x.earlyRecoveredMispredicts, y.earlyRecoveredMispredicts);
-    EXPECT_EQ(x.btbResteers, y.btbResteers);
-    EXPECT_EQ(x.loads, y.loads);
-    EXPECT_EQ(x.stores, y.stores);
-    EXPECT_EQ(x.loadsForwardedFromStoreQ, y.loadsForwardedFromStoreQ);
-    EXPECT_EQ(x.mbcMisspecFlushes, y.mbcMisspecFlushes);
-    EXPECT_EQ(x.dl1Hits, y.dl1Hits);
-    EXPECT_EQ(x.dl1Misses, y.dl1Misses);
-    EXPECT_EQ(x.il1Misses, y.il1Misses);
-    EXPECT_EQ(x.fetchStallMispredict, y.fetchStallMispredict);
-    EXPECT_EQ(x.fetchStallIcache, y.fetchStallIcache);
-    EXPECT_EQ(x.fetchStallQueueFull, y.fetchStallQueueFull);
-    EXPECT_EQ(x.renameStallRob, y.renameStallRob);
-    EXPECT_EQ(x.renameStallDispatchQ, y.renameStallDispatchQ);
-    EXPECT_EQ(x.renameStallPregs, y.renameStallPregs);
-    EXPECT_EQ(x.dispatchStallSched, y.dispatchStallSched);
-    EXPECT_EQ(x.opt.instsRenamed, y.opt.instsRenamed);
-    EXPECT_EQ(x.opt.earlyExecuted, y.opt.earlyExecuted);
-    EXPECT_EQ(x.opt.movesEliminated, y.opt.movesEliminated);
-    EXPECT_EQ(x.opt.branchesResolved, y.opt.branchesResolved);
-    EXPECT_EQ(x.opt.memOps, y.opt.memOps);
-    EXPECT_EQ(x.opt.loads, y.opt.loads);
-    EXPECT_EQ(x.opt.addrKnown, y.opt.addrKnown);
-    EXPECT_EQ(x.opt.loadsRemoved, y.opt.loadsRemoved);
-    EXPECT_EQ(x.opt.loadsSynthesized, y.opt.loadsSynthesized);
-    EXPECT_EQ(x.opt.mbcMisspecs, y.opt.mbcMisspecs);
-    EXPECT_EQ(x.opt.symRewrites, y.opt.symRewrites);
-    EXPECT_EQ(x.opt.depthBlocked, y.opt.depthBlocked);
-    EXPECT_EQ(x.opt.strengthReductions, y.opt.strengthReductions);
-    EXPECT_EQ(x.opt.branchInferences, y.opt.branchInferences);
-    EXPECT_EQ(x.mbc.lookups, y.mbc.lookups);
-    EXPECT_EQ(x.mbc.hits, y.mbc.hits);
-    EXPECT_EQ(x.mbc.inserts, y.mbc.inserts);
-    EXPECT_EQ(x.mbc.evictions, y.mbc.evictions);
-    EXPECT_EQ(x.mbc.invalidations, y.mbc.invalidations);
-    EXPECT_EQ(x.mbc.flushes, y.mbc.flushes);
-}
-
-struct NamedConfig
-{
-    const char *name;
-    pipeline::MachineConfig cfg;
-};
-
-std::vector<NamedConfig>
-machineModels()
-{
-    return {
-        {"baseline", pipeline::MachineConfig::baseline()},
-        {"optimized", pipeline::MachineConfig::optimized()},
-        {"fetchBound", pipeline::MachineConfig::fetchBound(true)},
-        {"execBound", pipeline::MachineConfig::execBound(true)},
-    };
-}
-
-} // namespace
-
-TEST(FastForward, OnAndOffProduceIdenticalStatsAcrossModels)
-{
-    const std::vector<std::string> workloads{"mcf", "gcc", "untst"};
-    uint64_t totalSkipped = 0;
-
-    sim::SimSession ffOn, ffOff;
-    ffOff.setFastForward(false);
-    ASSERT_FALSE(ffOff.fastForwardEnabled());
-    ASSERT_TRUE(ffOn.fastForwardEnabled()) << "fast-forward defaults on";
-
-    for (const auto &wl : workloads) {
-        const auto program = programOf(wl);
-        for (const auto &[name, cfg] : machineModels()) {
-            const auto fast = ffOn.simulate(program, cfg);
-            const uint64_t ticks = ffOn.core().ticksExecuted();
-            const auto slow = ffOff.simulate(program, cfg);
-
-            const std::string what = wl + "/" + name;
-            expectSameStats(fast.stats, slow.stats, what);
-            EXPECT_EQ(fast.instructions, slow.instructions) << what;
-            EXPECT_EQ(fast.halted, slow.halted) << what;
-
-            // The per-cycle reference path ticks once per cycle; the
-            // fast-forwarding run never ticks more often.
-            EXPECT_EQ(ffOff.core().ticksExecuted(), slow.stats.cycles)
-                << what;
-            EXPECT_LE(ticks, fast.stats.cycles) << what;
-            totalSkipped += fast.stats.cycles - ticks;
-        }
-    }
-    EXPECT_GT(totalSkipped, 0u)
-        << "fast-forward never skipped a cycle: the equivalence above "
-           "tested nothing";
-}
-
-// ---------------------------------------------------------------------------
-// Store-queue scan windowing equivalence
-// ---------------------------------------------------------------------------
-
-TEST(StoreWindow, OnAndOffProduceIdenticalStatsAcrossModels)
-{
-    // The address-hashed store window replaces the full store-queue
-    // scan on every load issue; windowed and full scans must agree on
-    // every forwarding/blocking decision, hence on every counter.
-    const std::vector<std::string> workloads{"mcf", "gcc", "untst"};
-    uint64_t totalForwarded = 0, totalLoads = 0;
-
-    sim::SimSession windowed, full;
-    full.setStoreWindow(false);
-    ASSERT_FALSE(full.storeWindowEnabled());
-    ASSERT_TRUE(windowed.storeWindowEnabled())
-        << "store windowing defaults on";
-
-    for (const auto &wl : workloads) {
-        const auto program = programOf(wl);
-        for (const auto &[name, cfg] : machineModels()) {
-            const auto fast = windowed.simulate(program, cfg);
-            const auto slow = full.simulate(program, cfg);
-            const std::string what = wl + "/" + name;
-            expectSameStats(fast.stats, slow.stats, what);
-            EXPECT_EQ(fast.instructions, slow.instructions) << what;
-            EXPECT_EQ(fast.halted, slow.halted) << what;
-            totalForwarded += fast.stats.loadsForwardedFromStoreQ;
-            totalLoads += fast.stats.loads;
-        }
-    }
-    // Non-vacuity: the grid must actually exercise loads that meet
-    // in-flight stores, or the scan equivalence above tested nothing.
-    EXPECT_GT(totalLoads, 0u);
-    EXPECT_GT(totalForwarded, 0u)
-        << "no load ever forwarded from the store queue across the "
-           "whole grid";
-}
-
-TEST(StoreWindow, StickyAcrossSessionReuse)
-{
-    // setStoreWindow survives reset()/simulate() until changed, and
-    // flipping it between runs on the SAME warm session still yields
-    // identical results (the window is rebuilt from scratch by reset).
-    const auto program = programOf("art");
-    const auto cfg = pipeline::MachineConfig::optimized();
-
-    sim::SimSession s;
-    const auto first = s.simulate(program, cfg);
-    s.setStoreWindow(false);
-    EXPECT_FALSE(s.storeWindowEnabled());
-    EXPECT_FALSE(s.core().storeWindowEnabled());
-    const auto slow = s.simulate(program, cfg);
-    s.setStoreWindow(true);
-    const auto again = s.simulate(program, cfg);
-
-    expectSameStats(first.stats, slow.stats, "warm window-off rerun");
-    expectSameStats(first.stats, again.stats, "warm window-on rerun");
-}
-
-TEST(FastForward, StickyAcrossSessionReuse)
-{
-    // setFastForward survives reset()/simulate() until changed, and
-    // flipping it between runs on the SAME warm session still yields
-    // identical results (the skip logic keeps no cross-run state).
-    const auto program = programOf("art");
-    const auto cfg = pipeline::MachineConfig::optimized();
-
-    sim::SimSession s;
-    const auto first = s.simulate(program, cfg);
-    s.setFastForward(false);
-    const auto slow = s.simulate(program, cfg);
-    EXPECT_FALSE(s.core().fastForwardEnabled());
-    EXPECT_EQ(s.core().ticksExecuted(), slow.stats.cycles);
-    s.setFastForward(true);
-    const auto again = s.simulate(program, cfg);
-
-    expectSameStats(first.stats, slow.stats, "warm ff-off rerun");
-    expectSameStats(first.stats, again.stats, "warm ff-on rerun");
 }
