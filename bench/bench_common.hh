@@ -33,10 +33,6 @@
  *                         stay byte-identical) and excluded from
  *                         baseline comparison like the perf fields
  *   CONOPT_PROGRESS       non-empty/non-"0": per-job progress + ETA
- *   CONOPT_PROGRESS_FD    fd number: write one machine-readable
- *                         CONOPT-PROGRESS line per finished job to
- *                         that descriptor (the conopt_sweep driver
- *                         attaches a pipe here to stream shard ETAs)
  *   CONOPT_ARTIFACT_DIR   where BENCH_<name>.json is written
  *                         (default: current directory)
  *   CONOPT_BASELINE_DIR   directory of baseline artifacts to gate
@@ -46,7 +42,14 @@
  *   --perf                flag form of CONOPT_PERF
  *   --ipc-sample-interval N  flag form of CONOPT_IPC_SAMPLE
  *   --progress            flag form of CONOPT_PROGRESS
- *   --progress-fd <fd>    flag form of CONOPT_PROGRESS_FD
+ *   --wire                stdout becomes a frame stream (the
+ *                         protocol of src/sim/service.hh) and fd 1
+ *                         points at stderr: one progress envelope per
+ *                         finished job, then the artifact in one
+ *                         result envelope (or an error envelope) and
+ *                         no artifact file or gate. conopt_sweep runs
+ *                         every shard this way, whether forked,
+ *                         launched, or over ssh
  *   --artifact-dir <dir>  flag form of CONOPT_ARTIFACT_DIR
  *   --baseline <path>     flag form of CONOPT_BASELINE_DIR; a specific
  *                         artifact file is also accepted

@@ -6,21 +6,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
-#include <mutex>
+#include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,10 +36,6 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// parseU64Token/parseDoubleToken (the strict numeric-token
-// primitives this protocol shares with the SweepRequest decoder)
-// moved to src/sim/request.{hh,cc}.
 
 } // namespace
 
@@ -93,6 +85,18 @@ parseProgressLine(const std::string &lineIn, SweepProgress *out)
         return false;
 
     SweepProgress p;
+    uint64_t done = 0, total = 0;
+    const std::pair<const char *, uint64_t *> counts[] = {
+        {"done", &done},
+        {"total", &total},
+        {"queue_depth", &p.queueDepth},
+        {"sessions", &p.sessions}};
+    const std::pair<const char *, double *> reals[] = {
+        {"job_s", &p.jobHostSeconds},   {"host_s", &p.totalHostSeconds},
+        {"elapsed_s", &p.elapsedSeconds}, {"eta_s", &p.etaSeconds},
+        {"geomean_ipc", &p.geomeanIpc}, {"kips", &p.kips},
+        {"host_p50", &p.hostP50},       {"host_p95", &p.hostP95},
+        {"host_p99", &p.hostP99}};
     bool haveDone = false, haveTotal = false, haveLabel = false;
     size_t pos = head.size();
     while (pos < line.size()) {
@@ -113,100 +117,24 @@ parseProgressLine(const std::string &lineIn, SweepProgress *out)
         if (end == std::string::npos)
             end = line.size();
         const std::string val = line.substr(eq + 1, end - eq - 1);
-        uint64_t u = 0;
-        double d = 0.0;
-        if (key == "done") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.done = size_t(u);
-            haveDone = true;
-        } else if (key == "total") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.total = size_t(u);
-            haveTotal = true;
-        } else if (key == "job_s") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.jobHostSeconds = d;
-        } else if (key == "host_s") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.totalHostSeconds = d;
-        } else if (key == "elapsed_s") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.elapsedSeconds = d;
-        } else if (key == "eta_s") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.etaSeconds = d;
-        } else if (key == "geomean_ipc") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.geomeanIpc = d;
-        } else if (key == "kips") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.kips = d;
-        } else if (key == "host_p50") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.hostP50 = d;
-        } else if (key == "host_p95") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.hostP95 = d;
-        } else if (key == "host_p99") {
-            if (!parseDoubleToken(val, &d))
-                return false;
-            p.hostP99 = d;
-        } else if (key == "queue_depth") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.queueDepth = u;
-        } else if (key == "sessions") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.sessions = u;
-        }
         // Unknown keys are skipped: a same-major-version harness may
         // append fields without breaking older drivers.
+        for (const auto &[name, field] : counts)
+            if (key == name && !parseU64Token(val, field))
+                return false;
+        for (const auto &[name, field] : reals)
+            if (key == name && !parseDoubleToken(val, field))
+                return false;
+        haveDone = haveDone || key == "done";
+        haveTotal = haveTotal || key == "total";
         pos = end < line.size() ? end + 1 : end;
     }
     if (!haveDone || !haveTotal || !haveLabel)
         return false;
+    p.done = size_t(done);
+    p.total = size_t(total);
     *out = std::move(p);
     return true;
-}
-
-void
-writeProgressLine(int fd, const SweepProgress &p)
-{
-    if (fd < 0)
-        return;
-    std::string line = formatProgressLine(p);
-    line += '\n';
-    // One write per line: lines are far below PIPE_BUF, so writers
-    // sharing a sink never interleave mid-line. Progress is advisory;
-    // a closed/bad fd — or a reader that vanished (the driver was
-    // killed mid-sweep) — must never fail the sweep itself, so SIGPIPE
-    // is blocked for this thread around the write and a resulting
-    // pending signal is drained. SIGPIPE is thread-synchronous, which
-    // makes the per-thread mask exact.
-    sigset_t pipeSet, oldSet;
-    sigemptyset(&pipeSet);
-    sigaddset(&pipeSet, SIGPIPE);
-    const bool masked =
-        ::pthread_sigmask(SIG_BLOCK, &pipeSet, &oldSet) == 0;
-    const ssize_t rc = ::write(fd, line.data(), line.size());
-    if (masked) {
-        if (rc < 0 && errno == EPIPE) {
-            struct timespec none = {0, 0};
-            ::sigtimedwait(&pipeSet, nullptr, &none);
-        }
-        ::pthread_sigmask(SIG_SETMASK, &oldSet, nullptr);
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -309,12 +237,20 @@ shardDirOf(const DriverOptions &opts)
         .string();
 }
 
-/** Does this configuration attach a --progress-fd pipe to the shards?
- *  Not over ssh: an inherited pipe fd does not cross the connection. */
+/** Split comma-separated @p v into @p out; false when any entry is
+ *  empty. */
 bool
-progressFdAttached(const DriverOptions &opts)
+splitList(const std::string &v, std::vector<std::string> *out)
 {
-    return opts.streamProgress && opts.sshHosts.empty();
+    out->clear();
+    for (size_t start = 0; start <= v.size();) {
+        const size_t comma = std::min(v.find(',', start), v.size());
+        if (comma == start)
+            return false;
+        out->push_back(v.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return true;
 }
 
 /** Validate a user-supplied bench/artifact name: it becomes a file
@@ -357,6 +293,12 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
         std::string v;
         if (a == "--") {
             o.benchArgs.assign(args.begin() + i + 1, args.end());
+            if (std::find(o.benchArgs.begin(), o.benchArgs.end(),
+                          "--wire") != o.benchArgs.end()) {
+                *err = "--wire is the driver's own shard channel; do not "
+                       "pass it to the bench";
+                return false;
+            }
             break;
         } else if (a == "--shards") {
             uint64_t n = 0;
@@ -434,40 +376,20 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
         } else if (a == "--ssh") {
             if (!value(a, &v))
                 return false;
-            o.sshHosts.clear();
-            size_t start = 0;
-            while (start <= v.size()) {
-                size_t comma = v.find(',', start);
-                if (comma == std::string::npos)
-                    comma = v.size();
-                const std::string host = v.substr(start, comma - start);
-                if (host.empty()) {
-                    *err = "invalid --ssh '" + v +
-                           "' (want a comma-separated list of non-empty "
-                           "hosts)";
-                    return false;
-                }
-                o.sshHosts.push_back(host);
-                start = comma + 1;
+            if (!splitList(v, &o.sshHosts)) {
+                *err = "invalid --ssh '" + v +
+                       "' (want a comma-separated list of non-empty "
+                       "hosts)";
+                return false;
             }
         } else if (a == "--connect") {
             if (!value(a, &v))
                 return false;
-            o.connectHosts.clear();
-            size_t start = 0;
-            while (start <= v.size()) {
-                size_t comma = v.find(',', start);
-                if (comma == std::string::npos)
-                    comma = v.size();
-                const std::string host = v.substr(start, comma - start);
-                if (host.empty()) {
-                    *err = "invalid --connect '" + v +
-                           "' (want a comma-separated list of non-empty "
-                           "host:port or unix:PATH endpoints)";
-                    return false;
-                }
-                o.connectHosts.push_back(host);
-                start = comma + 1;
+            if (!splitList(v, &o.connectHosts)) {
+                *err = "invalid --connect '" + v +
+                       "' (want a comma-separated list of non-empty "
+                       "host:port or unix:PATH endpoints)";
+                return false;
             }
         } else if (a == "--no-progress") {
             o.streamProgress = false;
@@ -534,16 +456,12 @@ buildShardArgv(const DriverOptions &opts, unsigned index, std::string *err)
     bench.push_back("--shard");
     bench.push_back(std::to_string(index) + "/" +
                     std::to_string(opts.shards));
-    bench.push_back("--artifact-dir");
-    bench.push_back(shardDirOf(opts));
+    // The shard's stdout is its frame channel: progress envelopes, then
+    // the artifact in the result envelope.
+    bench.push_back("--wire");
     if (!opts.run.resultCacheDir.empty()) {
         bench.push_back("--result-cache");
         bench.push_back(opts.run.resultCacheDir);
-    }
-    if (progressFdAttached(opts)) {
-        // The driver dup2()s the progress pipe to fd 3 in the child.
-        bench.push_back("--progress-fd");
-        bench.push_back("3");
     }
     bench.insert(bench.end(), opts.benchArgs.begin(), opts.benchArgs.end());
 
@@ -561,10 +479,10 @@ buildShardArgv(const DriverOptions &opts, unsigned index, std::string *err)
             ? std::string()
             : opts.sshHosts[index % opts.sshHosts.size()];
     if (opts.launcher.empty()) {
-        // Built-in ssh wrapper. Remote shards assume a shared
-        // filesystem: cd to the driver's working directory so relative
-        // bench/artifact/cache paths resolve to the same files on
-        // every host.
+        // Built-in ssh wrapper. Artifacts come back over the wire, but
+        // the bench binary and --result-cache paths are the driver's:
+        // cd to its working directory so relative ones resolve on
+        // every host (a shared filesystem).
         std::error_code ec;
         const std::string cwd = fs::current_path(ec).string();
         return {"ssh", "-oBatchMode=yes", host,
@@ -582,7 +500,7 @@ buildShardArgv(const DriverOptions &opts, unsigned index, std::string *err)
 }
 
 // --------------------------------------------------------------------------
-// The spawn/wait/retry engine
+// The shard engine
 // --------------------------------------------------------------------------
 
 namespace {
@@ -590,16 +508,15 @@ namespace {
 constexpr size_t kOutputTailMax = 64 * 1024;
 constexpr int kPollMillis = 50;
 constexpr double kRenderIntervalSeconds = 0.5;
-/** How long after a shard's own exit the driver keeps waiting for its
- *  pipes to reach EOF before force-closing them: a descendant that
- *  inherited the write ends (a daemonized helper, a backgrounded
+/** How long after a shard child's own exit the driver keeps waiting
+ *  for its pipes to reach EOF before force-closing them: a descendant
+ *  that inherited the write ends (a daemonized helper, a backgrounded
  *  launcher wrapper) must not be able to hang the whole fleet. */
 constexpr double kExitDrainGraceSeconds = 2.0;
 
 /** Set by the SIGINT/SIGTERM handler while a fleet is running, so an
  *  interrupted driver kills and reaps its shards instead of orphaning
- *  them (an orphan would keep simulating and later rewrite shard
- *  artifacts underneath a rerun). */
+ *  them (an orphan would keep simulating for nobody). */
 volatile std::sig_atomic_t gDriverInterrupted = 0;
 
 void
@@ -632,14 +549,6 @@ struct SignalGuard
 };
 
 void
-appendBounded(std::string &buf, const char *data, size_t n)
-{
-    buf.append(data, n);
-    if (buf.size() > kOutputTailMax)
-        buf.erase(0, buf.size() - kOutputTailMax);
-}
-
-void
 setNonblocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -647,37 +556,73 @@ setNonblocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/** One shard process slot across its (possibly retried) attempts. */
-struct LiveShard
+void
+closeFd(int &fd)
+{
+    if (fd >= 0)
+        ::close(fd);
+    fd = -1;
+}
+
+/** Read non-blocking @p fd until it would block, handing each chunk to
+ *  @p sink. False at EOF or on a read error: the stream is over. */
+template <typename Sink>
+bool
+drainFd(int fd, Sink &&sink)
+{
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n > 0) {
+            sink(buf, size_t(n));
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+}
+
+/** One shard across its (possibly retried) attempts. Every attempt is
+ *  a frame stream on frameFd, whatever runs it: a child's stdout pipe
+ *  (a local, --launcher, or ssh shard) or a --connect socket. A child
+ *  also has a stderr pipe and a pid; a --connect attempt has neither. */
+struct ShardSlot
 {
     unsigned index = 0;
     unsigned attempts = 0;
-    pid_t pid = -1;
-    int outFd = -1;  ///< combined stdout+stderr (read end)
-    int progFd = -1; ///< progress protocol pipe (read end), or -1
-    std::string outputTail;
-    std::string progPartial;
+    pid_t pid = -1;   ///< the attempt's child; -1 for --connect
+    int frameFd = -1; ///< the attempt's frame stream (read end)
+    int errFd = -1;   ///< the child's stderr (read end)
+    FrameReader frames;
+    std::string outputTail; ///< the child's stderr (bounded tail)
+    /** Why the attempt failed on the wire: a malformed stream, an
+     *  error envelope, a refused connection ("" = no such failure). */
+    std::string failure;
+    bool haveResult = false;
+    std::string artifact; ///< the result envelope's BENCH_*.json text
+    std::string endpoint; ///< --connect: the attempt's daemon
     bool haveProgress = false;
     size_t progressLines = 0;
     SweepProgress progress;
     Clock::time_point start;
-    Clock::time_point exitTime; ///< when the last attempt was reaped
+    Clock::time_point exitTime; ///< when the child was reaped
     bool running = false;
-    bool exited = false;
+    bool exited = false; ///< child reaped (an attempt without one: true)
     bool timedOut = false;
     bool aborted = false; ///< driver gave up on this shard (interrupt,
                           ///< poll failure): never counts as ok
-    int status = 0; ///< raw waitpid status of the last attempt
+    int status = 0; ///< raw waitpid status of the child (0 without one)
     double seconds = 0.0;
 
     bool
     okNow() const
     {
-        return !timedOut && !aborted && WIFEXITED(status) &&
-               WEXITSTATUS(status) == 0;
+        return haveResult && failure.empty() && !timedOut && !aborted &&
+               WIFEXITED(status) && WEXITSTATUS(status) == 0;
     }
 
-    /** "exit N" / "signal N" / "timeout" for log lines. */
+    /** Why the attempt failed, for log lines. */
     std::string
     describeStatus() const
     {
@@ -685,56 +630,64 @@ struct LiveShard
             return "aborted by driver";
         if (timedOut)
             return "timed out";
-        if (WIFEXITED(status))
-            return "exit " + std::to_string(WEXITSTATUS(status));
+        if (!failure.empty())
+            return failure;
         if (WIFSIGNALED(status))
             return "signal " + std::to_string(WTERMSIG(status));
-        return "status " + std::to_string(status);
+        if (WIFEXITED(status) && WEXITSTATUS(status) != 0)
+            return "exit " + std::to_string(WEXITSTATUS(status));
+        return "stream ended without a result frame";
     }
 };
 
+/** End @p s's attempt as failed: record why (the first reason wins),
+ *  stop reading its frames, and kill its child, which can no longer
+ *  deliver a usable result. */
+void
+failAttempt(ShardSlot &s, const std::string &why)
+{
+    if (s.failure.empty())
+        s.failure = why;
+    closeFd(s.frameFd);
+    if (s.pid > 0 && !s.exited) {
+        ::kill(-s.pid, SIGKILL);
+        ::kill(s.pid, SIGKILL);
+    }
+}
+
+/** Fork/exec shard @p s with its stdout on the frame pipe and its
+ *  stderr on the capture pipe. */
 bool
-spawnShard(const DriverOptions &opts, LiveShard &s, std::string *err)
+spawnChild(const DriverOptions &opts, ShardSlot &s, std::string *err)
 {
     const auto argv = buildShardArgv(opts, s.index, err);
     if (argv.empty())
         return false;
-    const bool wantProgress = progressFdAttached(opts);
-
-    int outPipe[2] = {-1, -1}, progPipe[2] = {-1, -1};
-    if (::pipe(outPipe) != 0) {
+    // O_CLOEXEC: dup2() below clears it on the child's fds 1 and 2,
+    // and no other shard's pipe leaks into an exec'd child.
+    int framePipe[2] = {-1, -1}, errPipe[2] = {-1, -1};
+    if (::pipe2(framePipe, O_CLOEXEC) != 0 ||
+        ::pipe2(errPipe, O_CLOEXEC) != 0) {
         *err = std::string("pipe: ") + std::strerror(errno);
-        return false;
-    }
-    if (wantProgress && ::pipe(progPipe) != 0) {
-        *err = std::string("pipe: ") + std::strerror(errno);
-        ::close(outPipe[0]);
-        ::close(outPipe[1]);
+        for (int fd : {framePipe[0], framePipe[1], errPipe[0], errPipe[1]})
+            if (fd >= 0)
+                ::close(fd);
         return false;
     }
 
     const pid_t pid = ::fork();
     if (pid < 0) {
         *err = std::string("fork: ") + std::strerror(errno);
-        for (int fd : {outPipe[0], outPipe[1], progPipe[0], progPipe[1]})
-            if (fd >= 0)
-                ::close(fd);
+        for (int fd : {framePipe[0], framePipe[1], errPipe[0], errPipe[1]})
+            ::close(fd);
         return false;
     }
     if (pid == 0) {
-        // Child. Own process group, so a timeout kill reaches sh/ssh
-        // wrappers and their children, not just the immediate process.
+        // Child. Own process group, so a kill reaches sh/ssh wrappers
+        // and their children, not just the immediate process.
         ::setpgid(0, 0);
-        ::dup2(outPipe[1], 1);
-        ::dup2(outPipe[1], 2);
-        int keep = -1;
-        if (wantProgress) {
-            ::dup2(progPipe[1], 3);
-            keep = 3;
-        }
-        for (int fd : {outPipe[0], outPipe[1], progPipe[0], progPipe[1]})
-            if (fd > 2 && fd != keep)
-                ::close(fd);
+        ::dup2(framePipe[1], 1);
+        ::dup2(errPipe[1], 2);
         std::vector<char *> cargv;
         cargv.reserve(argv.size() + 1);
         for (const auto &a : argv)
@@ -747,84 +700,157 @@ spawnShard(const DriverOptions &opts, LiveShard &s, std::string *err)
     }
 
     // Parent. Set the pgid from this side too, closing the race where
-    // a timeout fires before the child reaches its own setpgid().
+    // a kill lands before the child reaches its own setpgid().
     ::setpgid(pid, pid);
-    ::close(outPipe[1]);
-    if (wantProgress)
-        ::close(progPipe[1]);
-    setNonblocking(outPipe[0]);
-    if (wantProgress)
-        setNonblocking(progPipe[0]);
-
+    ::close(framePipe[1]);
+    ::close(errPipe[1]);
+    setNonblocking(framePipe[0]);
+    setNonblocking(errPipe[0]);
     s.pid = pid;
-    s.outFd = outPipe[0];
-    s.progFd = wantProgress ? progPipe[0] : -1;
+    s.frameFd = framePipe[0];
+    s.errFd = errPipe[0];
+    s.exited = false;
+    return true;
+}
+
+/** Real healthz probe of one endpoint: connect, send a healthz frame,
+ *  and extract queue_depth from the reply. Bounded by a short timeout
+ *  so a wedged daemon costs the scheduler ~2s, never a full attempt;
+ *  any failure just reports the endpoint as unprobeable (the picker
+ *  then treats it as infinitely busy). */
+bool
+probeEndpointQueueDepth(const std::string &endpoint, uint64_t *depth)
+{
+    constexpr double kHealthzTimeoutSeconds = 2.0;
+    std::string body, err;
+    return fetchHealthz(endpoint, kHealthzTimeoutSeconds, &body, &err) &&
+           parseHealthzQueueDepth(body, depth);
+}
+
+/** Open --connect attempt @p s: pick the least-loaded daemon, connect,
+ *  and send the shard's run frame. A refused connection fails the
+ *  attempt, which is retried like a crashed child. */
+void
+dialShard(const DriverOptions &opts, const SweepRequest &base,
+          ShardSlot &s)
+{
+    // With one endpoint there is nothing to choose, so skip the probe
+    // round-trip. Ties and failed probes fall back to the rotation
+    // (index + attempt), so a dead daemon costs its shards one attempt
+    // each.
+    const size_t rotation = s.index + s.attempts - 1;
+    const size_t slot =
+        opts.connectHosts.size() == 1
+            ? 0
+            : pickConnectEndpoint(opts.connectHosts, rotation,
+                                  probeEndpointQueueDepth);
+    s.endpoint = opts.connectHosts[slot];
+    SweepRequest req = base;
+    req.run.shard.index = s.index;
+    req.run.shard.count = opts.shards;
+    std::string err;
+    const int fd = connectToService(s.endpoint, &err);
+    if (fd < 0) {
+        s.failure = err;
+        return;
+    }
+    if (!writeFrame(fd, makeRunFrame(req), &err)) {
+        ::close(fd);
+        s.failure = s.endpoint + ": " + err;
+        return;
+    }
+    setNonblocking(fd);
+    s.frameFd = fd;
+}
+
+/** Start the next attempt of shard @p s. False (with @p err) only when
+ *  a child cannot be launched at all. */
+bool
+startAttempt(const DriverOptions &opts, const SweepRequest &base,
+             ShardSlot &s, std::string *err)
+{
+    ++s.attempts;
+    s.pid = -1;
+    s.frames = FrameReader{};
     s.outputTail.clear();
-    s.progPartial.clear();
-    // A retry starts from zero: the killed attempt's last progress
+    s.failure.clear();
+    s.haveResult = false;
+    s.artifact.clear();
+    // A retry starts from zero: the failed attempt's last progress
     // snapshot must not inflate the aggregate line until the new
     // attempt reports (progressLines stays cumulative by design).
     s.haveProgress = false;
     s.progress = SweepProgress{};
     s.start = Clock::now();
-    s.running = true;
-    s.exited = false;
     s.timedOut = false;
     s.status = 0;
     s.seconds = 0.0;
-    ++s.attempts;
-    return true;
-}
-
-/** Drain @p fd into the shard until EAGAIN or EOF; closes (and clears)
- *  it on EOF. @p progress routes the bytes to the line parser instead
- *  of the output tail. */
-void
-drainFd(LiveShard &s, int &fd, bool progress)
-{
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n > 0) {
-            if (!progress) {
-                appendBounded(s.outputTail, buf, size_t(n));
-                continue;
-            }
-            s.progPartial.append(buf, size_t(n));
-            size_t nl;
-            while ((nl = s.progPartial.find('\n')) !=
-                   std::string::npos) {
-                const std::string line = s.progPartial.substr(0, nl);
-                s.progPartial.erase(0, nl + 1);
-                SweepProgress p;
-                if (parseProgressLine(line, &p)) {
-                    s.progress = std::move(p);
-                    s.haveProgress = true;
-                    ++s.progressLines;
-                }
-                // Non-protocol lines on the progress fd are ignored.
-            }
-            if (s.progPartial.size() > kOutputTailMax)
-                s.progPartial.clear();
-            continue;
-        }
-        if (n == 0) {
-            ::close(fd);
-            fd = -1;
-            return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return;
-        ::close(fd);
-        fd = -1;
-        return;
+    if (!opts.connectHosts.empty()) {
+        s.exited = true; // no child to reap
+        dialShard(opts, base, s);
+        s.running = true;
+        return true;
     }
+    s.running = spawnChild(opts, s, err);
+    return s.running;
+}
+
+/** Read @p s's frame stream and act on every complete envelope. A
+ *  malformed stream or an error envelope fails the attempt; EOF ends
+ *  the stream, and so does a --connect result (the daemon is done). */
+void
+readFrames(ShardSlot &s, bool *progressed)
+{
+    const bool open = drainFd(s.frameFd, [&s](const char *d, size_t n) {
+        s.frames.feed(d, n);
+    });
+    std::string payload, err;
+    for (int got; (got = s.frames.next(&payload, &err)) != 0;) {
+        ServerFrame f;
+        if (got < 0 || !parseServerFrame(payload, &f, &err)) {
+            failAttempt(s, "malformed frame stream: " + err);
+            return;
+        }
+        if (f.type == ServerFrame::Type::Progress) {
+            // A line this driver cannot read is skipped, not fatal:
+            // progress is advisory.
+            SweepProgress p;
+            if (parseProgressLine(f.line, &p)) {
+                s.progress = std::move(p);
+                s.haveProgress = true;
+                ++s.progressLines;
+                *progressed = true;
+            }
+        } else if (f.type == ServerFrame::Type::Result) {
+            s.artifact = std::move(f.artifact);
+            s.haveResult = true;
+        } else if (f.type == ServerFrame::Type::Error) {
+            failAttempt(s, "shard error (code " + std::to_string(f.code) +
+                               "): " + f.message);
+            return;
+        }
+        // A healthz envelope mid-run would be a daemon bug; skip it.
+    }
+    if (!open && s.frames.pending() > 0)
+        failAttempt(s, "frame stream ended mid-frame");
+    else if (!open || (s.pid < 0 && s.haveResult))
+        closeFd(s.frameFd);
 }
 
 void
-renderProgress(const std::vector<LiveShard> &shards)
+drainStderr(ShardSlot &s)
+{
+    const bool open = drainFd(s.errFd, [&s](const char *d, size_t n) {
+        s.outputTail.append(d, n);
+        if (s.outputTail.size() > kOutputTailMax)
+            s.outputTail.erase(0, s.outputTail.size() - kOutputTailMax);
+    });
+    if (!open)
+        closeFd(s.errFd);
+}
+
+void
+renderProgress(const std::vector<ShardSlot> &shards)
 {
     size_t done = 0, total = 0;
     bool any = false;
@@ -863,53 +889,74 @@ renderProgress(const std::vector<LiveShard> &shards)
                      total, per.c_str());
 }
 
-/** Kill and reap everything still running: the bail-out path for a
- *  mid-launch spawn failure, an interrupt, or a broken poll loop.
- *  Records each shard's real wait status and marks it aborted, so an
- *  abandoned shard can never be mistaken for a successful one. */
+/** Kill and reap every running attempt: the bail-out path for a
+ *  mid-launch spawn failure, an interrupt, or a broken poll loop. Each
+ *  is marked aborted, so an abandoned shard can never be mistaken for
+ *  a successful one. */
 void
-killRemaining(std::vector<LiveShard> &shards)
+killRemaining(std::vector<ShardSlot> &shards)
 {
     for (auto &s : shards) {
         if (!s.running)
             continue;
-        ::kill(-s.pid, SIGKILL);
-        ::kill(s.pid, SIGKILL);
         if (!s.exited) {
+            ::kill(-s.pid, SIGKILL);
+            ::kill(s.pid, SIGKILL);
             int st = 0;
             if (::waitpid(s.pid, &st, 0) == s.pid)
                 s.status = st;
             s.exited = true;
-            s.seconds = secondsSince(s.start);
         }
+        s.seconds = secondsSince(s.start);
         s.aborted = true;
-        if (s.outFd >= 0)
-            ::close(s.outFd);
-        if (s.progFd >= 0)
-            ::close(s.progFd);
-        s.outFd = s.progFd = -1;
+        closeFd(s.frameFd);
+        closeFd(s.errFd);
         s.running = false;
     }
 }
 
 /** Indent a captured-output tail for failure reports. */
 void
-printOutputTail(const LiveShard &s)
+printOutputTail(unsigned index, const std::string &tail)
 {
     std::fprintf(stderr,
                  "--- shard %u captured output (last %zu bytes) ---\n",
-                 s.index, s.outputTail.size());
-    std::fwrite(s.outputTail.data(), 1, s.outputTail.size(), stderr);
-    if (!s.outputTail.empty() && s.outputTail.back() != '\n')
+                 index, tail.size());
+    std::fwrite(tail.data(), 1, tail.size(), stderr);
+    if (!tail.empty() && tail.back() != '\n')
         std::fputc('\n', stderr);
-    std::fprintf(stderr, "--- end shard %u output ---\n", s.index);
+    std::fprintf(stderr, "--- end shard %u output ---\n", index);
 }
 
-void mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
-                        DriverOutcome *outp);
+/** The shared part of every --connect shard's SweepRequest. */
+SweepRequest
+connectRequest(const DriverOptions &opts)
+{
+    // The bench's `-- args` parse exactly as an ephemeral shard would
+    // parse them (same flags, same CONOPT_* environment, same exit-2
+    // contract), so a daemon-backed run describes the same work.
+    const HarnessOptions hopts = HarnessOptions::parseArgs(opts.benchArgs);
+    SweepRequest base;
+    base.bench = opts.benchName;
+    base.run = hopts.run;
+    // Capture this client's environment into the wire request: the
+    // daemon must reproduce the client's run, never its own
+    // environment.
+    if (base.run.scale == 0)
+        base.run.scale = envScale();
+    if (base.run.threads == 0)
+        base.run.threads = envThreads();
+    // The daemon never touches client paths; the artifact comes back
+    // as bytes and the gate runs client-side after the merge.
+    base.run.artifactDir.clear();
+    base.run.baselinePath.clear();
+    base.run.resultCacheDir.clear();
+    base.run.emitArtifact = true;
+    return base;
+}
 
-bool runConnectFleet(const DriverOptions &opts, const std::string &sdir,
-                     DriverOutcome *outp);
+void mergeAndGate(const DriverOptions &opts, const std::string &sdir,
+                  DriverOutcome *outp);
 
 } // namespace
 
@@ -968,28 +1015,21 @@ runSweepDriver(const DriverOptions &optsIn)
         return out;
     }
 
-    if (!opts.connectHosts.empty()) {
-        // Daemon-backed mode: no child processes — each shard is a
-        // SweepRequest against the standing fleet, and the returned
-        // artifact bytes land in the same shard directory the
-        // ephemeral path uses, so the merge/gate below is shared.
-        SignalGuard signalGuard;
-        if (!runConnectFleet(opts, sdir, &out))
-            return out;
-        mergeVerifyAndGate(opts, sdir, &out);
-        return out;
-    }
-
+    // --connect shards each send one SweepRequest; its shared part is
+    // built once, from the client's arguments and environment.
+    const SweepRequest base = opts.connectHosts.empty()
+                                  ? SweepRequest{}
+                                  : connectRequest(opts);
     const unsigned maxAttempts = opts.retries + 1;
-    // From here on the driver owns child processes: catch SIGINT /
+    // From here on the driver owns shard attempts: catch SIGINT /
     // SIGTERM so an interrupted run kills and reaps its fleet instead
-    // of orphaning shards that would keep writing artifacts.
+    // of orphaning shards.
     SignalGuard signalGuard;
-    std::vector<LiveShard> shards(opts.shards);
+    std::vector<ShardSlot> shards(opts.shards);
     for (unsigned i = 0; i < opts.shards; ++i) {
         shards[i].index = i;
         std::string serr;
-        if (!spawnShard(opts, shards[i], &serr)) {
+        if (!startAttempt(opts, base, shards[i], &serr)) {
             killRemaining(shards);
             out.error = "cannot launch shard " + std::to_string(i) + ": " +
                         serr;
@@ -1007,7 +1047,7 @@ runSweepDriver(const DriverOptions &optsIn)
     bool progressDirty = false;
     std::string abortReason;
     while (live > 0) {
-        if (gDriverInterrupted && abortReason.empty()) {
+        if (gDriverInterrupted) {
             abortReason = "interrupted; fleet killed";
             std::fprintf(stderr,
                          "[conopt_sweep] interrupted; killing %zu "
@@ -1017,47 +1057,35 @@ runSweepDriver(const DriverOptions &optsIn)
             break;
         }
         std::vector<pollfd> pfds;
-        std::vector<std::pair<size_t, bool>> who; // shard slot, isProgress
-        for (size_t si = 0; si < shards.size(); ++si) {
-            const auto &s = shards[si];
-            if (!s.running)
-                continue;
-            if (s.outFd >= 0) {
-                pfds.push_back({s.outFd, POLLIN, 0});
-                who.emplace_back(si, false);
-            }
-            if (s.progFd >= 0) {
-                pfds.push_back({s.progFd, POLLIN, 0});
-                who.emplace_back(si, true);
+        std::vector<ShardSlot *> owner;
+        for (auto &s : shards) {
+            for (int fd : {s.frameFd, s.errFd}) {
+                if (s.running && fd >= 0) {
+                    pfds.push_back({fd, POLLIN, 0});
+                    owner.push_back(&s);
+                }
             }
         }
-        if (!pfds.empty()) {
-            const int pr = ::poll(pfds.data(), nfds_t(pfds.size()),
-                                  kPollMillis);
-            if (pr < 0 && errno != EINTR) {
-                // A broken event loop cannot supervise the fleet:
-                // kill and reap everything (recorded as aborted, so
-                // no half-finished shard masquerades as success).
-                abortReason = std::string("poll failed: ") +
-                              std::strerror(errno) + "; fleet killed";
-                killRemaining(shards);
-                break;
-            }
-            for (size_t k = 0; pr > 0 && k < pfds.size(); ++k) {
-                if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
-                    continue;
-                auto &s = shards[who[k].first];
-                const bool progress = who[k].second;
-                const bool had = s.haveProgress;
-                const size_t hadDone = s.progress.done;
-                drainFd(s, progress ? s.progFd : s.outFd, progress);
-                if (progress &&
-                    (s.haveProgress != had || s.progress.done != hadDone))
-                    progressDirty = true;
-            }
-        } else {
-            // All pipes are closed but a process is still unreaped.
-            ::poll(nullptr, 0, kPollMillis);
+        // With no fd open this just sleeps: a child is still unreaped.
+        const int pr =
+            ::poll(pfds.data(), nfds_t(pfds.size()), kPollMillis);
+        if (pr < 0 && errno != EINTR) {
+            // A broken event loop cannot supervise the fleet: kill and
+            // reap everything (recorded as aborted, so no half-finished
+            // shard masquerades as success).
+            abortReason = std::string("poll failed: ") +
+                          std::strerror(errno) + "; fleet killed";
+            killRemaining(shards);
+            break;
+        }
+        for (size_t k = 0; pr > 0 && k < pfds.size(); ++k) {
+            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            ShardSlot &s = *owner[k];
+            if (pfds[k].fd == s.frameFd)
+                readFrames(s, &progressDirty);
+            else if (pfds[k].fd == s.errFd)
+                drainStderr(s);
         }
 
         for (auto &s : shards) {
@@ -1065,81 +1093,68 @@ runSweepDriver(const DriverOptions &optsIn)
                 continue;
             if (!s.exited) {
                 int st = 0;
-                const pid_t r = ::waitpid(s.pid, &st, WNOHANG);
-                if (r == s.pid) {
+                if (::waitpid(s.pid, &st, WNOHANG) == s.pid) {
                     s.exited = true;
                     s.status = st;
-                    s.seconds = secondsSince(s.start);
                     s.exitTime = Clock::now();
                 }
             }
-            if (!s.exited && !s.timedOut && opts.timeoutSeconds > 0.0 &&
+            if (!s.timedOut && opts.timeoutSeconds > 0.0 &&
+                (!s.exited || s.frameFd >= 0) &&
                 secondsSince(s.start) > opts.timeoutSeconds) {
                 s.timedOut = true;
                 std::fprintf(stderr,
                              "[conopt_sweep] shard %u/%u timed out after "
                              "%.1fs; killing\n",
                              s.index, opts.shards, opts.timeoutSeconds);
-                ::kill(-s.pid, SIGKILL);
-                ::kill(s.pid, SIGKILL);
+                failAttempt(s, "timed out");
             }
-            if (s.exited && (s.outFd >= 0 || s.progFd >= 0) &&
+            if (s.pid > 0 && s.exited &&
+                (s.frameFd >= 0 || s.errFd >= 0) &&
                 secondsSince(s.exitTime) > kExitDrainGraceSeconds) {
                 // The shard itself is gone but a descendant still
                 // holds the pipe write ends (daemonized helper,
-                // backgrounded wrapper). Kill the stragglers, take
-                // any last buffered bytes, and finalize on the
-                // shard's own exit status — a leaked fd must never
-                // hang the fleet or defeat the timeout.
+                // backgrounded wrapper). Kill the stragglers, take any
+                // last buffered bytes, and finalize on what the shard
+                // itself sent — a leaked fd must never hang the fleet
+                // or defeat the timeout.
                 ::kill(-s.pid, SIGKILL);
-                if (s.outFd >= 0)
-                    drainFd(s, s.outFd, false);
-                if (s.progFd >= 0)
-                    drainFd(s, s.progFd, true);
-                if (s.outFd >= 0)
-                    ::close(s.outFd);
-                if (s.progFd >= 0)
-                    ::close(s.progFd);
-                s.outFd = s.progFd = -1;
+                if (s.frameFd >= 0)
+                    readFrames(s, &progressDirty);
+                if (s.errFd >= 0)
+                    drainStderr(s);
+                closeFd(s.frameFd);
+                closeFd(s.errFd);
             }
-            if (s.exited && s.outFd < 0 && s.progFd < 0) {
-                s.running = false;
-                --live;
-                if (s.okNow()) {
-                    std::fprintf(stderr,
-                                 "[conopt_sweep] shard %u/%u: ok in %.1fs "
-                                 "(attempt %u)\n",
-                                 s.index, opts.shards, s.seconds,
-                                 s.attempts);
-                } else if (s.attempts < maxAttempts) {
-                    std::fprintf(
-                        stderr,
-                        "[conopt_sweep] shard %u/%u attempt %u failed "
-                        "(%s); retrying (%u attempt%s left)\n",
-                        s.index, opts.shards, s.attempts,
-                        s.describeStatus().c_str(),
-                        maxAttempts - s.attempts,
-                        maxAttempts - s.attempts == 1 ? "" : "s");
-                    // A partial artifact from the failed attempt must
-                    // not survive into the merge.
-                    fs::remove(fs::path(sdir) /
-                                   shardArtifactName(opts.benchName,
-                                                     s.index, opts.shards),
-                               ec);
-                    std::string serr;
-                    if (spawnShard(opts, s, &serr)) {
-                        ++live;
-                    } else {
-                        std::fprintf(stderr,
-                                     "[conopt_sweep] shard %u/%u: respawn "
-                                     "failed: %s\n",
-                                     s.index, opts.shards, serr.c_str());
-                    }
-                }
+            if (!s.exited || s.frameFd >= 0 || s.errFd >= 0)
+                continue;
+            s.running = false;
+            s.seconds = secondsSince(s.start);
+            --live;
+            if (s.okNow()) {
+                std::fprintf(stderr,
+                             "[conopt_sweep] shard %u/%u: ok in %.1fs "
+                             "(attempt %u%s%s)\n",
+                             s.index, opts.shards, s.seconds, s.attempts,
+                             s.endpoint.empty() ? "" : ", ",
+                             s.endpoint.c_str());
+            } else if (s.attempts < maxAttempts) {
+                std::fprintf(stderr,
+                             "[conopt_sweep] shard %u/%u attempt %u failed "
+                             "(%s); retrying (%u attempt%s left)\n",
+                             s.index, opts.shards, s.attempts,
+                             s.describeStatus().c_str(),
+                             maxAttempts - s.attempts,
+                             maxAttempts - s.attempts == 1 ? "" : "s");
+                std::string serr;
+                if (startAttempt(opts, base, s, &serr))
+                    ++live;
+                else
+                    s.failure = "cannot relaunch: " + serr;
             }
         }
 
-        if (progressDirty &&
+        if (opts.streamProgress && progressDirty &&
             secondsSince(lastRender) >= kRenderIntervalSeconds) {
             renderProgress(shards);
             lastRender = Clock::now();
@@ -1152,8 +1167,8 @@ runSweepDriver(const DriverOptions &optsIn)
     if (gDriverInterrupted && abortReason.empty())
         abortReason = "interrupted; not merging";
 
-    // Collect final outcomes; any shard that never exited 0 is a hard
-    // failure with its captured output surfaced.
+    // Collect final outcomes; any shard without a clean result is a
+    // hard failure with its captured output surfaced.
     unsigned failures = 0;
     for (const auto &s : shards) {
         ShardOutcome so;
@@ -1161,11 +1176,14 @@ runSweepDriver(const DriverOptions &optsIn)
         so.attempts = s.attempts;
         so.ok = s.okNow();
         so.timedOut = s.timedOut;
-        so.exitStatus = WIFEXITED(s.status) ? WEXITSTATUS(s.status)
-                        : WIFSIGNALED(s.status) ? -WTERMSIG(s.status)
-                                                : -1;
+        so.exitStatus = !opts.connectHosts.empty() ? (so.ok ? 0 : 2)
+                        : WIFEXITED(s.status)      ? WEXITSTATUS(s.status)
+                        : WIFSIGNALED(s.status)    ? -WTERMSIG(s.status)
+                                                   : -1;
         so.seconds = s.seconds;
         so.outputTail = s.outputTail;
+        if (!s.failure.empty())
+            so.outputTail += "[conopt_sweep] " + s.failure + "\n";
         so.progressLines = s.progressLines;
         if (!so.ok) {
             ++failures;
@@ -1175,24 +1193,37 @@ runSweepDriver(const DriverOptions &optsIn)
                          s.index, opts.shards, s.attempts,
                          s.attempts == 1 ? "" : "s",
                          s.describeStatus().c_str());
-            printOutputTail(s);
+            printOutputTail(s.index, so.outputTail);
         }
         out.shards.push_back(std::move(so));
     }
     if (!abortReason.empty()) {
         out.error = abortReason;
-        out.exitCode = 2;
         return out;
     }
     if (failures > 0) {
         out.error = std::to_string(failures) + " of " +
                     std::to_string(opts.shards) +
                     " shard(s) failed; not merging";
-        out.exitCode = 2;
         return out;
     }
 
-    mergeVerifyAndGate(opts, sdir, &out);
+    // Every artifact arrived in a result frame: keep the exact bytes in
+    // the shard directory, which the merge (and any audit) reads.
+    for (const auto &s : shards) {
+        const std::string path =
+            (fs::path(sdir) /
+             shardArtifactName(opts.benchName, s.index, opts.shards))
+                .string();
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << s.artifact;
+        f.close();
+        if (!f) {
+            out.error = "cannot write shard artifact " + path;
+            return out;
+        }
+    }
+    mergeAndGate(opts, sdir, &out);
     return out;
 }
 
@@ -1251,37 +1282,15 @@ pickConnectEndpoint(const std::vector<std::string> &endpoints,
 
 namespace {
 
-/** The shared back half of both driver modes (ephemeral shards and
- *  --connect): verify every expected shard artifact exists, merge the
- *  shard directory, recompute the deferred figure geomeans, save the
- *  merged artifact, and gate it against the baseline. Fills
+/** Merge the shard directory, recompute the deferred figure geomeans,
+ *  save the merged artifact, and gate it against the baseline. Fills
  *  out->exitCode/error/mergedArtifactPath/gateDiffs. */
 void
-mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
-                   DriverOutcome *outp)
+mergeAndGate(const DriverOptions &opts, const std::string &sdir,
+             DriverOutcome *outp)
 {
     DriverOutcome &out = *outp;
     std::error_code ec;
-    // Every shard claims success: verify each expected artifact really
-    // exists, so a shard that "succeeded" without writing its file can
-    // never produce a silently thinner merged artifact.
-    std::string missing;
-    for (unsigned i = 0; i < opts.shards; ++i) {
-        const auto p = fs::path(sdir) /
-                       shardArtifactName(opts.benchName, i, opts.shards);
-        if (!fs::exists(p, ec)) {
-            if (!missing.empty())
-                missing += ", ";
-            missing += p.string();
-        }
-    }
-    if (!missing.empty()) {
-        out.error = "shard artifact(s) missing after successful shard "
-                    "exit: " +
-                    missing;
-        return;
-    }
-
     BenchArtifact merged;
     std::string err;
     if (!loadArtifactOrShards(sdir, &merged, &err)) {
@@ -1321,6 +1330,17 @@ mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
         haveBaseline = true;
     }
 
+    // Shards defer a figure's geomeans to the merge, so without a base
+    // to recompute them over, the gate could only report every one of
+    // them missing: a usage error, not drift.
+    if (opts.geomeanBase.empty() && haveBaseline &&
+        !baseline.geomeans.empty() && merged.geomeans.empty()) {
+        out.error = "baseline " + basePath +
+                    " has figure geomeans, which shards defer to the "
+                    "merge; pass --recompute-geomeans <base> (the "
+                    "figure's base config, e.g. base)";
+        return;
+    }
     if (!opts.geomeanBase.empty()) {
         std::vector<std::string> cols;
         if (haveBaseline) {
@@ -1385,367 +1405,7 @@ mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
     out.exitCode = 0;
 }
 
-// --------------------------------------------------------------------------
-// --connect: daemon-backed shards
-// --------------------------------------------------------------------------
-
-/** Mutable state of one daemon-backed shard request: the --connect
- *  analogue of LiveShard (no pid/fds — the "process" is a standing
- *  daemon on the other end of a socket). */
-struct ConnectShard
-{
-    unsigned index = 0;
-    unsigned attempts = 0;
-    bool ok = false;
-    bool aborted = false;   ///< interrupted; never counts as ok
-    std::string error;      ///< last attempt's failure, for the report
-    double seconds = 0.0;   ///< last attempt's wall-clock duration
-    size_t progressLines = 0;
-    bool haveProgress = false;
-    SweepProgress progress;
-    std::mutex mu; ///< guards progress/haveProgress/progressLines
-    std::atomic<bool> done{false};
-};
-
-/** One request against one endpoint: connect, send, stream progress,
- *  persist the returned artifact bytes verbatim to @p artPath (the
- *  daemon sends BenchArtifact::toJson() text, so the written file is
- *  byte-identical to what an ephemeral shard's save() produces).
- *  False with @p failMsg on anything short of a written artifact. */
-bool
-connectAttempt(const DriverOptions &opts, const SweepRequest &req,
-               const std::string &endpoint, const std::string &artPath,
-               ConnectShard &cs, std::string *failMsg)
-{
-    std::string err;
-    const int fd = connectToService(endpoint, &err);
-    if (fd < 0) {
-        *failMsg = err;
-        return false;
-    }
-    if (!writeFrame(fd, makeRunFrame(req), &err)) {
-        ::close(fd);
-        *failMsg = endpoint + ": " + err;
-        return false;
-    }
-    FrameReader rd;
-    const auto start = Clock::now();
-    bool ok = false;
-    bool terminal = false;
-    while (!terminal) {
-        if (gDriverInterrupted) {
-            *failMsg = "interrupted";
-            cs.aborted = true;
-            break;
-        }
-        if (opts.timeoutSeconds > 0.0 &&
-            secondsSince(start) > opts.timeoutSeconds) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "timed out after %.1fs",
-                          opts.timeoutSeconds);
-            *failMsg = endpoint + ": " + buf;
-            break;
-        }
-        // Bounded poll slices keep the interrupt flag and the
-        // per-attempt deadline live while waiting on the daemon.
-        pollfd pfd{fd, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, kPollMillis);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            *failMsg = endpoint + ": poll: " + std::strerror(errno);
-            break;
-        }
-        if (pr == 0)
-            continue;
-        char buf[4096];
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK)
-                continue;
-            *failMsg = endpoint + ": read: " + std::strerror(errno);
-            break;
-        }
-        if (n == 0) {
-            *failMsg = endpoint + ": connection closed before a result";
-            break;
-        }
-        rd.feed(buf, size_t(n));
-        for (;;) {
-            std::string payload, perr;
-            const int got = rd.next(&payload, &perr);
-            if (got == 0)
-                break;
-            if (got < 0) {
-                *failMsg = endpoint + ": " + perr;
-                terminal = true;
-                break;
-            }
-            ServerFrame f;
-            if (!parseServerFrame(payload, &f, &perr)) {
-                *failMsg = endpoint + ": " + perr;
-                terminal = true;
-                break;
-            }
-            if (f.type == ServerFrame::Type::Progress) {
-                SweepProgress p;
-                if (parseProgressLine(f.line, &p)) {
-                    std::lock_guard<std::mutex> lk(cs.mu);
-                    cs.progress = std::move(p);
-                    cs.haveProgress = true;
-                    ++cs.progressLines;
-                }
-                // Non-protocol progress lines are ignored, like the
-                // ephemeral path's progress-fd parser.
-            } else if (f.type == ServerFrame::Type::Result) {
-                std::FILE *af = std::fopen(artPath.c_str(), "w");
-                if (!af) {
-                    *failMsg = "cannot write " + artPath + ": " +
-                               std::strerror(errno);
-                } else {
-                    std::fwrite(f.artifact.data(), 1, f.artifact.size(),
-                                af);
-                    if (std::fclose(af) == 0)
-                        ok = true;
-                    else
-                        *failMsg = "cannot write " + artPath;
-                }
-                terminal = true;
-            } else if (f.type == ServerFrame::Type::Error) {
-                *failMsg = endpoint + ": daemon error (code " +
-                           std::to_string(f.code) + "): " + f.message;
-                terminal = true;
-            }
-            // A healthz frame mid-run would be a daemon bug; skip it.
-            if (terminal)
-                break;
-        }
-    }
-    ::close(fd);
-    cs.seconds = secondsSince(start);
-    return ok;
-}
-
-/** Real healthz probe of one endpoint: connect, send a healthz frame,
- *  and extract queue_depth from the reply. Bounded by a short timeout
- *  so a wedged daemon costs the scheduler ~2s, never a full attempt;
- *  any failure just reports the endpoint as unprobeable (the picker
- *  then treats it as infinitely busy). */
-bool
-probeEndpointQueueDepth(const std::string &endpoint, uint64_t *depth)
-{
-    constexpr double kHealthzTimeoutSeconds = 2.0;
-    std::string err;
-    const int fd = connectToService(endpoint, &err);
-    if (fd < 0)
-        return false;
-    bool ok = false;
-    std::string payload;
-    FrameReader rd;
-    if (writeFrame(fd, makeHealthzFrame(), &err) &&
-        readFrame(fd, &rd, &payload, kHealthzTimeoutSeconds, &err)) {
-        ServerFrame f;
-        std::string perr;
-        if (parseServerFrame(payload, &f, &perr) &&
-            f.type == ServerFrame::Type::Healthz)
-            ok = parseHealthzQueueDepth(f.body, depth);
-    }
-    ::close(fd);
-    return ok;
-}
-
-/** One shard's full retry loop against the fleet (runs on its own
- *  thread). Each attempt asks every daemon's healthz for its queue
- *  depth and targets the least-loaded one; ties, single-endpoint
- *  fleets, and probe failures fall back to the historical rotation
- *  (index + attempt), so a dead daemon only costs its shards one
- *  attempt each. */
-void
-runConnectShard(const DriverOptions &opts, const SweepRequest &base,
-                const std::string &sdir, ConnectShard &cs)
-{
-    const unsigned maxAttempts = opts.retries + 1;
-    SweepRequest req = base;
-    req.run.shard.index = cs.index;
-    req.run.shard.count = opts.shards;
-    const std::string artPath =
-        (fs::path(sdir) /
-         shardArtifactName(opts.benchName, cs.index, opts.shards))
-            .string();
-    while (cs.attempts < maxAttempts && !cs.ok && !cs.aborted) {
-        if (gDriverInterrupted) {
-            cs.aborted = true;
-            break;
-        }
-        // Load-aware pick; with one endpoint there is nothing to
-        // choose, so skip the probe round-trip entirely.
-        const size_t rotation = cs.index + cs.attempts;
-        const size_t slot =
-            opts.connectHosts.size() == 1
-                ? 0
-                : pickConnectEndpoint(opts.connectHosts, rotation,
-                                      probeEndpointQueueDepth);
-        const std::string &endpoint = opts.connectHosts[slot];
-        ++cs.attempts;
-        std::string failMsg;
-        if (connectAttempt(opts, req, endpoint, artPath, cs, &failMsg)) {
-            cs.ok = true;
-            std::fprintf(stderr,
-                         "[conopt_sweep] shard %u/%u: ok in %.1fs "
-                         "(attempt %u, %s)\n",
-                         cs.index, opts.shards, cs.seconds, cs.attempts,
-                         endpoint.c_str());
-            break;
-        }
-        cs.error = failMsg;
-        if (cs.aborted)
-            break;
-        {
-            // A retry starts from zero, like a respawned shard.
-            std::lock_guard<std::mutex> lk(cs.mu);
-            cs.haveProgress = false;
-            cs.progress = SweepProgress{};
-        }
-        std::error_code ec;
-        fs::remove(artPath, ec);
-        if (cs.attempts < maxAttempts)
-            std::fprintf(
-                stderr,
-                "[conopt_sweep] shard %u/%u attempt %u failed (%s); "
-                "retrying (%u attempt%s left)\n",
-                cs.index, opts.shards, cs.attempts, failMsg.c_str(),
-                maxAttempts - cs.attempts,
-                maxAttempts - cs.attempts == 1 ? "" : "s");
-    }
-    cs.done.store(true);
-}
-
-/** Aggregate progress line for the connect fleet, through the same
- *  renderer as the ephemeral path. */
-void
-renderConnectProgress(
-    const std::vector<std::unique_ptr<ConnectShard>> &shards)
-{
-    std::vector<LiveShard> snap(shards.size());
-    for (size_t i = 0; i < shards.size(); ++i) {
-        std::lock_guard<std::mutex> lk(shards[i]->mu);
-        snap[i].index = shards[i]->index;
-        snap[i].haveProgress = shards[i]->haveProgress;
-        snap[i].progress = shards[i]->progress;
-    }
-    renderProgress(snap);
-}
-
-/** The --connect engine: dispatch every shard as a SweepRequest to
- *  the standing fleet and collect the artifacts into @p sdir. True
- *  when every shard succeeded (the caller then merges and gates);
- *  false with out->error/exitCode/shards filled. */
-bool
-runConnectFleet(const DriverOptions &opts, const std::string &sdir,
-                DriverOutcome *outp)
-{
-    DriverOutcome &out = *outp;
-    // The bench's `-- args` parse exactly as an ephemeral shard would
-    // parse them (same flags, same CONOPT_* environment, same exit-2
-    // contract), so a daemon-backed run describes the same work.
-    const HarnessOptions hopts = HarnessOptions::parseArgs(opts.benchArgs);
-    SweepRequest base;
-    base.bench = opts.benchName;
-    base.run = hopts.run;
-    // Capture this client's environment into the wire request: the
-    // daemon must reproduce the client's run, never its own
-    // environment.
-    if (base.run.scale == 0)
-        base.run.scale = envScale();
-    if (base.run.threads == 0)
-        base.run.threads = envThreads();
-    // The daemon never touches client paths; the artifact comes back
-    // as bytes and the gate runs client-side after the merge.
-    base.run.artifactDir.clear();
-    base.run.baselinePath.clear();
-    base.run.resultCacheDir.clear();
-    base.run.emitArtifact = true;
-
-    std::vector<std::unique_ptr<ConnectShard>> shards;
-    shards.reserve(opts.shards);
-    for (unsigned i = 0; i < opts.shards; ++i) {
-        shards.push_back(std::make_unique<ConnectShard>());
-        shards.back()->index = i;
-    }
-    std::fprintf(stderr,
-                 "[conopt_sweep] dispatching %u shard%s of %s to %zu "
-                 "endpoint%s (artifacts in %s)\n",
-                 opts.shards, opts.shards == 1 ? "" : "s",
-                 opts.benchName.c_str(), opts.connectHosts.size(),
-                 opts.connectHosts.size() == 1 ? "" : "s",
-                 sdir.c_str());
-    std::vector<std::thread> threads;
-    threads.reserve(opts.shards);
-    for (auto &cs : shards)
-        threads.emplace_back([&opts, &base, &sdir, &cs] {
-            runConnectShard(opts, base, sdir, *cs);
-        });
-
-    auto lastRender = Clock::now();
-    for (;;) {
-        bool allDone = true;
-        for (const auto &cs : shards)
-            if (!cs->done.load()) {
-                allDone = false;
-                break;
-            }
-        if (allDone)
-            break;
-        ::poll(nullptr, 0, kPollMillis);
-        if (opts.streamProgress &&
-            secondsSince(lastRender) >= kRenderIntervalSeconds) {
-            renderConnectProgress(shards);
-            lastRender = Clock::now();
-        }
-    }
-    for (auto &t : threads)
-        t.join();
-
-    unsigned failures = 0;
-    for (const auto &csp : shards) {
-        const ConnectShard &cs = *csp;
-        ShardOutcome so;
-        so.index = cs.index;
-        so.attempts = cs.attempts;
-        so.ok = cs.ok && !cs.aborted;
-        so.exitStatus = so.ok ? 0 : 2;
-        so.seconds = cs.seconds;
-        so.outputTail = cs.error;
-        so.progressLines = cs.progressLines;
-        if (!so.ok) {
-            ++failures;
-            std::fprintf(stderr,
-                         "[conopt_sweep] shard %u/%u FAILED after %u "
-                         "attempt%s (%s)\n",
-                         cs.index, opts.shards, cs.attempts,
-                         cs.attempts == 1 ? "" : "s",
-                         cs.error.c_str());
-        }
-        out.shards.push_back(std::move(so));
-    }
-    if (gDriverInterrupted) {
-        out.error = "interrupted; not merging";
-        out.exitCode = 2;
-        return false;
-    }
-    if (failures > 0) {
-        out.error = std::to_string(failures) + " of " +
-                    std::to_string(opts.shards) +
-                    " shard(s) failed; not merging";
-        out.exitCode = 2;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
-
 
 // --------------------------------------------------------------------------
 // CLI
@@ -1755,11 +1415,11 @@ namespace {
 
 constexpr const char *kUsage =
     "usage: conopt_sweep [options] <bench> [-- <bench args...>]\n"
-    "  Launches <bench> as N shard processes (--shard i/n), streams\n"
-    "  their progress, waits with per-shard timeout and bounded retry,\n"
-    "  merges the per-shard BENCH artifacts, optionally recomputes the\n"
-    "  deferred figure geomeans, and gates the merged artifact against\n"
-    "  a baseline.\n"
+    "  Launches <bench> as N shard processes (--shard i/n --wire),\n"
+    "  streams their progress, waits with per-shard timeout and bounded\n"
+    "  retry, merges the returned BENCH artifacts, optionally\n"
+    "  recomputes the deferred figure geomeans, and gates the merged\n"
+    "  artifact against a baseline.\n"
     "options:\n"
     "  --shards N              shard process count (default 2)\n"
     "  --bench-name NAME       artifact name (default: basename of "
@@ -1781,10 +1441,12 @@ constexpr const char *kUsage =
     "  --launcher TMPL         wrap shard commands; {i} {n} {cmd} "
     "{host}\n"
     "                          placeholders ({cmd} appended if absent;\n"
-    "                          {host} rotates over the --ssh list)\n"
+    "                          {host} rotates over the --ssh list); the\n"
+    "                          wrapper's stdout must carry only {cmd}'s\n"
     "  --ssh H1,H2,...         run shards round-robin over ssh hosts\n"
-    "                          (assumes a shared filesystem; with\n"
-    "                          --launcher, only supplies {host})\n"
+    "                          (bench and cache paths assume a shared\n"
+    "                          filesystem; with --launcher, only\n"
+    "                          supplies {host})\n"
     "  --connect A1,A2,...     send shards to standing conopt_served\n"
     "                          daemons (host:port or unix:PATH) instead\n"
     "                          of spawning processes; <bench> is then a\n"

@@ -1,36 +1,42 @@
 /**
  * @file
  * conopt_sweep: the distributed sweep driver. One command that turns
- * the sharded-sweep primitives (ShardSpec partitioning, per-shard
- * BENCH_*.shard<i>of<n>.json artifacts, the persistent ResultCache,
- * and the conopt_bench_check merge/gate) into a fleet-style run:
+ * the sharded-sweep primitives (ShardSpec partitioning, the persistent
+ * ResultCache, and the conopt_bench_check merge/gate) into a fleet-style
+ * run:
  *
  *   conopt_sweep --shards 4 --baseline bench/baselines fig6_speedup
  *
- * launches all shard processes with the right `--shard i/n
- * --artifact-dir --result-cache` arguments, streams their progress,
- * waits with a per-shard timeout and bounded retry, then merges the
- * shard directory, recomputes the deferred figure geomeans, and gates
- * the merged artifact against a baseline. Exit codes are
- * conopt_bench_check-compatible: 0 match, 1 drift, 2 error. A crashed,
- * killed, or hung shard is a hard failure with its captured output
- * surfaced — never a silently thinner merged artifact (the driver
- * verifies every expected shard artifact exists before merging).
+ * Every shard attempt is one stream of the frame protocol in
+ * src/sim/service.hh, whatever runs it: a forked bench's stdout (the
+ * bench runs with `--wire`), a `--launcher` or ssh wrapper's stdout,
+ * or a `--connect` socket to a conopt_served daemon. One poll loop
+ * reads them all — progress envelopes feed one aggregate ETA line, and
+ * the result envelope carries the shard's artifact bytes — with one
+ * per-attempt timeout, one bounded retry, and one interrupt policy.
+ * The driver writes the received artifacts to `<name>.shards/`, merges
+ * them, recomputes the deferred figure geomeans, and gates the merged
+ * artifact against a baseline. Exit codes are conopt_bench_check-
+ * compatible: 0 match, 1 drift, 2 error. A crashed, killed, hung, or
+ * garbled shard, or one that ends without a result frame, is a hard
+ * failure with its captured stderr surfaced — never a silently thinner
+ * merged artifact.
  *
  * Pieces:
- *   - progress line protocol: formatProgressLine/parseProgressLine/
- *     writeProgressLine — the machine-readable form of SweepProgress
- *     that bench binaries emit on `--progress-fd N` and the driver
- *     multiplexes into one aggregate ETA line
+ *   - progress line protocol: formatProgressLine/parseProgressLine —
+ *     the CONOPT-PROGRESS v1 payload of every progress envelope
+ *   - pickConnectEndpoint: healthz-based endpoint choice for --connect
  *   - LauncherVars/expandLauncher + shellQuote: the `--launcher`
  *     command-template mechanism ({i}, {n}, {cmd}, {host}) that wraps
- *     shard commands for srun/env-setup/ssh-style launchers
+ *     shard commands for srun/env-setup/ssh-style launchers; a
+ *     launcher must keep its own stdout clean, since that is the
+ *     shard's frame stream
  *   - DriverOptions/parseDriverArgs/buildShardArgv: CLI parsing and
  *     per-shard command composition (local exec, template, or --ssh
- *     round-robin over hosts; remote modes assume a shared filesystem)
- *   - runSweepDriver/ShardOutcome/DriverOutcome: the spawn/wait/retry/
- *     merge/gate engine, exposed as a library so
- *     tests/test_sweep_driver.cc covers it in-process
+ *     round-robin over hosts)
+ *   - runSweepDriver/ShardOutcome/DriverOutcome: the shard engine plus
+ *     merge and gate, exposed as a library so tests/test_sweep_driver.cc
+ *     covers it in-process
  *   - sweepDriverMain: the `conopt_sweep` CLI entry point
  */
 
@@ -47,13 +53,14 @@
 namespace conopt::sim {
 
 // --------------------------------------------------------------------------
-// Machine-readable progress line protocol (--progress-fd)
+// Progress line protocol (the payload of a progress envelope)
 // --------------------------------------------------------------------------
 
-/** Line prefix + version of the progress protocol. A bench binary with
- *  `--progress-fd N` writes one such line per finished job; the driver
- *  parses them per shard. Versioned so a driver can detect (and skip)
- *  lines from a newer harness instead of misreading them. */
+/** Line prefix + version of the progress protocol. A bench with
+ *  `--wire` sends one such line per finished job inside a progress
+ *  envelope; the driver parses them per shard. Versioned so a driver
+ *  can detect (and skip) lines from a newer harness instead of
+ *  misreading them. */
 constexpr const char *kProgressLineTag = "CONOPT-PROGRESS";
 constexpr unsigned kProgressLineVersion = 1;
 
@@ -75,12 +82,6 @@ std::string formatProgressLine(const SweepProgress &p);
  *  fields, or a missing label. Unknown numeric keys are ignored so
  *  minor protocol additions stay readable by older drivers. */
 bool parseProgressLine(const std::string &line, SweepProgress *out);
-
-/** Write @p p as one protocol line (newline-terminated, single write()
- *  so concurrent shards never interleave mid-line) to @p fd. Write
- *  errors are ignored: progress is advisory and must never fail the
- *  sweep itself. */
-void writeProgressLine(int fd, const SweepProgress &p);
 
 // --------------------------------------------------------------------------
 // Connect-mode scheduling (--connect)
@@ -150,8 +151,9 @@ struct DriverOptions
     unsigned shards = 2;         ///< shard process count (>= 1)
     /** The canonical run description (src/sim/request.hh). The driver
      *  consumes run.artifactDir (the merged artifact lands here; the
-     *  per-shard files go to a driver-owned `<name>.shards/`
-     *  subdirectory that is cleaned of stale artifacts first),
+     *  artifacts received from the shards go to a driver-owned
+     *  `<name>.shards/` subdirectory that is cleaned of stale ones
+     *  first),
      *  run.resultCacheDir (forwarded to every shard when set),
      *  run.baselinePath (file or directory; "" = no gate), and
      *  run.tolerance (0 = exact). In --connect mode the rest of the
@@ -165,8 +167,10 @@ struct DriverOptions
      *  set, it takes over the wrapping entirely — sshHosts then only
      *  supplies the round-robin {host} rotation. */
     std::string launcher;
-    /** Round-robin host placement (assumes a shared filesystem).
-     *  Without a launcher template, shards run through the built-in
+    /** Round-robin host placement. Artifacts and progress come back
+     *  over the wrapper's stdout; the bench binary and --result-cache
+     *  paths still assume a shared filesystem. Without a launcher
+     *  template, shards run through the built-in
      *  `ssh -oBatchMode=yes <host> 'cd <cwd> && <cmd>'` wrapper; note
      *  a --timeout kill then reaches only the local ssh client, not
      *  the remote process — bound remote runtimes remotely too, e.g.
@@ -174,15 +178,15 @@ struct DriverOptions
     std::vector<std::string> sshHosts;
     /** `--connect host:port[,host:port...]` / `--connect unix:PATH`:
      *  instead of spawning shard processes, send each shard as a
-     *  SweepRequest to a standing conopt_served fleet (round-robin
-     *  over the endpoints, rotating on retry) and write the returned
-     *  artifacts into the same shard directory — the merge, geomean
+     *  SweepRequest to a standing conopt_served fleet (least-loaded
+     *  endpoint by healthz, rotating on retry). The socket carries the
+     *  same frames a forked shard's stdout does, so the merge, geomean
      *  recompute, and baseline gate are byte-identical to the
      *  ephemeral path. The positional bench argument is then a
      *  *registered bench name* (src/sim/bench_registry.hh), not a
      *  binary path. Mutually exclusive with --launcher/--ssh. */
     std::vector<std::string> connectHosts;
-    bool streamProgress = true;  ///< attach --progress-fd + render ETA
+    bool streamProgress = true;  ///< render the aggregate ETA line
 };
 
 /** Parse `conopt_sweep` CLI arguments into @p out. False (with a
@@ -195,16 +199,16 @@ bool parseDriverArgs(const std::vector<std::string> &args,
                      DriverOptions *out, std::string *err);
 
 /** The exact argv the driver execs for shard @p index: the bench
- *  command plus `--shard i/n --artifact-dir <shard-dir>` (and
- *  `--result-cache`/`--progress-fd` when configured), wrapped by the
- *  launcher template or ssh when one is set. Empty (with @p err) when
- *  template expansion fails. */
+ *  command plus `--shard i/n --wire` (and `--result-cache` when
+ *  configured), wrapped by the launcher template or ssh when one is
+ *  set. Empty (with @p err) when template expansion fails. */
 std::vector<std::string> buildShardArgv(const DriverOptions &opts,
                                         unsigned index, std::string *err);
 
-/** The artifact filename shard @p index of @p count writes, matching
- *  the bench harness convention: `BENCH_<bench>.shard<i>of<n>.json`,
- *  or plain `BENCH_<bench>.json` when count <= 1 (an unsharded run). */
+/** The file the driver writes shard @p index of @p count's received
+ *  artifact to, matching the bench harness convention:
+ *  `BENCH_<bench>.shard<i>of<n>.json`, or plain `BENCH_<bench>.json`
+ *  when count <= 1 (an unsharded run). */
 std::string shardArtifactName(const std::string &bench, unsigned index,
                               unsigned count);
 
@@ -217,16 +221,20 @@ struct ShardOutcome
 {
     unsigned index = 0;
     unsigned attempts = 0; ///< launches performed (1 = no retry needed)
-    bool ok = false;       ///< last attempt exited 0 within the timeout
+    bool ok = false;       ///< last attempt sent a result and ended
+                           ///< cleanly (a child: exit 0) in time
     bool timedOut = false; ///< last attempt was killed at the deadline
     /** Last attempt's status: the exit code when >= 0, or -SIGNAL when
-     *  the process died to a signal (a killed shard is -9). */
+     *  the process died to a signal (a killed shard is -9). A
+     *  --connect shard has no process: 0 when ok, else 2. */
     int exitStatus = 0;
     double seconds = 0.0;    ///< last attempt's wall-clock duration
-    std::string outputTail;  ///< captured stdout+stderr (bounded tail)
-    /** Well-formed CONOPT-PROGRESS lines received over --progress-fd
-     *  across all attempts (0 when the pipe was not attached or the
-     *  bench runs no SweepRunner sweep). */
+    /** The last attempt's captured stderr (bounded tail), then the
+     *  stream failure (malformed frame, error envelope, connection
+     *  error) when there was one. */
+    std::string outputTail;
+    /** Well-formed CONOPT-PROGRESS lines received across all attempts
+     *  (0 when the bench runs no SweepRunner sweep). */
     size_t progressLines = 0;
 };
 
@@ -234,7 +242,7 @@ struct ShardOutcome
 struct DriverOutcome
 {
     /** conopt_bench_check-compatible: 0 merged+gated ok, 1 baseline
-     *  drift, 2 error (shard failure, missing artifact, bad config). */
+     *  drift, 2 error (shard failure, bad config). */
     int exitCode = 2;
     std::string error;              ///< human-readable when exitCode == 2
     std::vector<ShardOutcome> shards;

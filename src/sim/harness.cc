@@ -1,14 +1,19 @@
 #include "src/sim/harness.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <utility>
 
 #include "src/pipeline/stats_aggregate.hh"
 #include "src/sim/driver.hh"
 #include "src/sim/fingerprint.hh"
+#include "src/sim/service.hh"
 
 namespace conopt::sim {
 
@@ -76,22 +81,6 @@ HarnessOptions::parseArgs(const std::vector<std::string> &args,
     };
     if (const char *s = std::getenv("CONOPT_SHARD"); s && *s)
         shardSpec(s, "CONOPT_SHARD");
-    const auto progressFdSpec = [&](const char *s, const char *what) {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(s, &end, 10);
-        if (end == s || *end != '\0' || errno == ERANGE || v < 0 ||
-            v > (1 << 20)) {
-            std::fprintf(stderr,
-                         "invalid %s '%s' (want a non-negative "
-                         "file descriptor number)\n",
-                         what, s);
-            std::exit(2);
-        }
-        o.progressFd = int(v);
-    };
-    if (const char *f = std::getenv("CONOPT_PROGRESS_FD"); f && *f)
-        progressFdSpec(f, "CONOPT_PROGRESS_FD");
     const auto ipcSampleSpec = [&](const char *s, const char *what) {
         char *end = nullptr;
         errno = 0;
@@ -130,8 +119,17 @@ HarnessOptions::parseArgs(const std::vector<std::string> &args,
             o.run.perf = true;
         } else if (a == "--ipc-sample-interval") {
             ipcSampleSpec(value(), "--ipc-sample-interval");
-        } else if (a == "--progress-fd") {
-            progressFdSpec(value(), "--progress-fd");
+        } else if (a == "--wire") {
+            // The frame channel is the original stdout; from here on
+            // everything the bench prints goes to stderr, so human
+            // output can never corrupt a frame.
+            std::fflush(stdout);
+            o.wireFd = ::fcntl(1, F_DUPFD_CLOEXEC, 3);
+            if (o.wireFd < 0 || ::dup2(2, 1) < 0) {
+                std::fprintf(stderr, "--wire: cannot redirect stdout: %s\n",
+                             std::strerror(errno));
+                std::exit(2);
+            }
         } else if (a == "--tolerance") {
             const char *v = value();
             if (!parseTolerance(v, &o.run.tolerance)) {
@@ -149,7 +147,7 @@ HarnessOptions::parseArgs(const std::vector<std::string> &args,
                          "--artifact-dir DIR, --baseline PATH, "
                          "--shard I/N, --result-cache DIR, "
                          "--perf, --ipc-sample-interval N, "
-                         "--progress, --progress-fd FD, "
+                         "--progress, --wire, "
                          "--tolerance T, --no-artifact)\n",
                          a.c_str());
             std::exit(2);
@@ -164,13 +162,16 @@ HarnessOptions::parseArgs(const std::vector<std::string> &args,
 ProgressFn
 HarnessOptions::progressFn() const
 {
-    if (progressFd >= 0) {
-        const int fd = progressFd;
+    if (wireFd >= 0) {
+        const int fd = wireFd;
         const bool human = progress;
         return [fd, human](const SweepProgress &p) {
             if (human)
                 printSweepProgress(p);
-            writeProgressLine(fd, p);
+            // Progress is advisory: a failed write never fails the
+            // sweep (the result frame's write is what counts).
+            std::string err;
+            writeFrame(fd, makeProgressFrame(formatProgressLine(p)), &err);
         };
     }
     if (progress)
@@ -205,17 +206,31 @@ harnessFinish(const std::string &benchName, BenchArtifact art,
                          (unsigned long long)cs.errors);
         std::fprintf(stderr, "\n");
     }
-    if (!o.run.emitArtifact)
+    if (!o.run.emitArtifact) {
+        std::string err;
+        if (o.wireFd >= 0)
+            writeFrame(o.wireFd,
+                       makeErrorFrame(2, "--no-artifact: nothing to return"),
+                       &err);
         return 0;
+    }
 
     art.bench = benchName;
-    std::string file = "BENCH_" + benchName;
-    if (o.run.shard.active())
-        file += ".shard" + std::to_string(o.run.shard.index) + "of" +
-                std::to_string(o.run.shard.count);
-    file += ".json";
+    if (o.wireFd >= 0) {
+        // The artifact travels as the result envelope; the reader
+        // writes, merges, and gates it.
+        std::string err;
+        if (writeFrame(o.wireFd, makeResultFrame(art.toJson()), &err))
+            return 0;
+        std::fprintf(stderr, "%s: cannot send artifact: %s\n",
+                     benchName.c_str(), err.c_str());
+        return 1;
+    }
     const std::string outPath =
-        (std::filesystem::path(o.run.artifactDir) / file).string();
+        (std::filesystem::path(o.run.artifactDir) /
+         shardArtifactName(benchName, o.run.shard.index,
+                           o.run.shard.count))
+            .string();
     std::string err;
     if (!art.save(outPath, &err)) {
         std::fprintf(stderr, "%s: cannot write artifact: %s\n",

@@ -11,9 +11,14 @@
  *
  * The environment variables and flags, their semantics, and the exit-2
  * error contract are documented in bench/bench_common.hh (the
- * user-facing header) and README.md; this implementation is
- * byte-compatible with the pre-refactor inline parser — same flags,
- * same env vars, same diagnostics, same exit codes.
+ * user-facing header) and README.md.
+ *
+ * `--wire` turns a bench into a shard of conopt_sweep: its stdout
+ * becomes a stream of the one frame protocol (src/sim/service.hh) —
+ * progress envelopes, then the artifact in a result envelope — and
+ * fd 1 points at stderr, so a bench's own printing never corrupts a
+ * frame. The same stream reaches the driver from a forked shard, a
+ * launcher or ssh wrapper, or (sent by the daemon) a --connect socket.
  */
 
 #ifndef CONOPT_SIM_HARNESS_HH
@@ -50,10 +55,11 @@ struct HarnessOptions
 {
     RunOptions run;
     bool progress = false; ///< per-job progress/ETA on stderr
-    /** Descriptor for machine-readable CONOPT-PROGRESS lines (one per
-     *  finished job); -1 = none. The conopt_sweep driver passes an
-     *  inherited pipe here to multiplex shard ETAs. */
-    int progressFd = -1;
+    /** `--wire`: the frame channel (the process's original stdout;
+     *  fd 1 then points at stderr); -1 = none. Carries one progress
+     *  envelope per finished job and then the result envelope in
+     *  place of an artifact file. conopt_sweep reads it per shard. */
+    int wireFd = -1;
     /** Created by parse() when a cache dir is configured; shared with
      *  the SweepRunner so finish() can report hit/miss counters. */
     std::shared_ptr<ResultCache> resultCache;
@@ -76,9 +82,8 @@ struct HarnessOptions
                                     bool lenientArgs = false);
 
     /** The composed progress sink: the human stderr printer (with
-     *  --progress) and/or the machine-readable line protocol (with
-     *  --progress-fd, one CONOPT-PROGRESS line per finished job).
-     *  Empty when neither is armed. */
+     *  --progress) and/or one progress envelope per finished job on
+     *  the --wire channel. Empty when neither is armed. */
     ProgressFn progressFn() const;
 
     /** SweepRunner options carrying the run description, the
@@ -95,8 +100,10 @@ struct HarnessOptions
 /**
  * Persist @p art as `BENCH_<bench>.json` (or `BENCH_<bench>
  * .shard<i>of<n>.json` for a sharded run) and apply the baseline gate.
- * Returns the bench binary's exit status: 0 on success, 1 when the
- * artifact cannot be written or the baseline comparison finds drift.
+ * With --wire, send it as the result envelope instead: no file, no
+ * gate (the reader gates the merge). Returns the bench binary's exit
+ * status: 0 on success, 1 when the artifact cannot be written or sent
+ * or the baseline comparison finds drift.
  */
 int harnessFinish(const std::string &benchName, BenchArtifact art,
                   const HarnessOptions &o);

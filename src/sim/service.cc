@@ -2,6 +2,7 @@
 
 #include <netdb.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -162,19 +163,40 @@ bool
 writeFrame(int fd, const std::string &payload, std::string *err)
 {
     const std::string frame = encodeFrame(payload);
+    // write(), not send(MSG_NOSIGNAL): a --wire bench writes frames to
+    // a pipe, where send() fails with ENOTSOCK. A vanished reader must
+    // surface as EPIPE here, never as a process-wide SIGPIPE, so
+    // SIGPIPE is blocked for this thread around the writes and a
+    // resulting pending signal is drained. SIGPIPE is
+    // thread-synchronous, which makes the per-thread mask exact.
+    sigset_t pipeSet, oldSet;
+    sigemptyset(&pipeSet);
+    sigaddset(&pipeSet, SIGPIPE);
+    const bool masked =
+        ::pthread_sigmask(SIG_BLOCK, &pipeSet, &oldSet) == 0;
+    int writeErrno = 0;
     size_t off = 0;
     while (off < frame.size()) {
-        // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE here instead
-        // of a process-wide SIGPIPE.
-        const ssize_t n = ::send(fd, frame.data() + off,
-                                 frame.size() - off, MSG_NOSIGNAL);
+        const ssize_t n =
+            ::write(fd, frame.data() + off, frame.size() - off);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            *err = std::string("send: ") + std::strerror(errno);
-            return false;
+            writeErrno = errno;
+            break;
         }
         off += size_t(n);
+    }
+    if (masked) {
+        if (writeErrno == EPIPE) {
+            struct timespec none = {0, 0};
+            ::sigtimedwait(&pipeSet, nullptr, &none);
+        }
+        ::pthread_sigmask(SIG_SETMASK, &oldSet, nullptr);
+    }
+    if (writeErrno != 0) {
+        *err = std::string("write: ") + std::strerror(writeErrno);
+        return false;
     }
     return true;
 }
@@ -227,6 +249,30 @@ readFrame(int fd, FrameReader *rd, std::string *payload,
         if (got != 0)
             return got > 0;
     }
+}
+
+bool
+fetchHealthz(const std::string &addr, double timeoutSeconds,
+             std::string *body, std::string *err)
+{
+    const int fd = connectToService(addr, err);
+    if (fd < 0)
+        return false;
+    FrameReader rd;
+    std::string payload;
+    ServerFrame f;
+    const bool ok = writeFrame(fd, makeHealthzFrame(), err) &&
+                    readFrame(fd, &rd, &payload, timeoutSeconds, err) &&
+                    parseServerFrame(payload, &f, err);
+    ::close(fd);
+    if (!ok)
+        return false;
+    if (f.type != ServerFrame::Type::Healthz) {
+        *err = "unexpected healthz reply: " + payload;
+        return false;
+    }
+    *body = std::move(f.body);
+    return true;
 }
 
 // --------------------------------------------------------------------------
@@ -358,7 +404,8 @@ executeSweepRequest(const SweepRequest &req, const BenchContext &ctx,
     }
     // The daemon serves artifact bytes; the client-side path fields
     // must never be dereferenced here. A well-behaved client already
-    // cleared them (see runConnectFleet), but the server enforces it.
+    // cleared them (see connectRequest in driver.cc), but the server
+    // enforces it.
     RunOptions run = req.run;
     run.artifactDir.clear();
     run.baselinePath.clear();
@@ -524,23 +571,10 @@ SweepService::pollOnce(int timeoutMillis)
         return;
     pollfd pfd{lfd, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, timeoutMillis);
-    if (pr > 0 && (pfd.revents & POLLIN)) {
-        const int cfd = ::accept(lfd, nullptr, nullptr);
-        if (cfd >= 0) {
-            accepted_.fetch_add(1, std::memory_order_relaxed);
-            // conopt-lint: allow(hotpath-alloc) per-connection setup; accepts are rare next to request serving
-            auto conn = std::make_shared<Conn>();
-            conn->fd = cfd;
-            conn->reader =
-                std::thread([this, conn] { readerLoop(conn); });
-            std::lock_guard<std::mutex> lk(connsMu_);
-            // conopt-lint: allow(hotpath-alloc) per-connection bookkeeping, bounded by open sockets
-            conns_.push_back(std::move(conn));
-        }
-    }
-    // Reap finished readers so a long-lived daemon doesn't accumulate
-    // joinable threads for every connection it ever served.
     std::lock_guard<std::mutex> lk(connsMu_);
+    // Reap finished readers first, so a long-lived daemon neither
+    // accumulates joinable threads nor counts closed connections
+    // against the cap.
     for (size_t i = 0; i < conns_.size();) {
         if (conns_[i]->done.load() && conns_[i]->reader.joinable()) {
             conns_[i]->reader.join();
@@ -550,6 +584,30 @@ SweepService::pollOnce(int timeoutMillis)
             ++i;
         }
     }
+    if (pr <= 0 || !(pfd.revents & POLLIN))
+        return;
+    const int cfd = ::accept(lfd, nullptr, nullptr);
+    if (cfd < 0)
+        return;
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    if (conns_.size() >= kMaxConnections) {
+        // Every live connection holds a reader thread: past the cap the
+        // peer is told why and dropped instead of costing another one.
+        std::string err;
+        writeFrame(cfd,
+                   makeErrorFrame(2, "too many connections (" +
+                                         std::to_string(kMaxConnections) +
+                                         " open); retry later"),
+                   &err);
+        ::close(cfd);
+        return;
+    }
+    // conopt-lint: allow(hotpath-alloc) per-connection setup; accepts are rare next to request serving
+    auto conn = std::make_shared<Conn>();
+    conn->fd = cfd;
+    conn->reader = std::thread([this, conn] { readerLoop(conn); });
+    // conopt-lint: allow(hotpath-alloc) per-connection bookkeeping, bounded by kMaxConnections
+    conns_.push_back(std::move(conn));
 }
 
 bool
@@ -987,35 +1045,13 @@ servedMain(const std::vector<std::string> &args)
     }
 
     if (!healthzAddr.empty()) {
-        std::string err;
-        const int fd = connectToService(healthzAddr, &err);
-        if (fd < 0) {
+        std::string body, err;
+        if (!fetchHealthz(healthzAddr, 10.0, &body, &err)) {
             std::fprintf(stderr, "conopt_served: %s\n", err.c_str());
-            return 2;
-        }
-        if (!writeFrame(fd, makeHealthzFrame(), &err)) {
-            std::fprintf(stderr, "conopt_served: %s\n", err.c_str());
-            ::close(fd);
-            return 2;
-        }
-        FrameReader rd;
-        std::string payload;
-        if (!readFrame(fd, &rd, &payload, 10.0, &err)) {
-            std::fprintf(stderr, "conopt_served: %s\n", err.c_str());
-            ::close(fd);
-            return 2;
-        }
-        ::close(fd);
-        ServerFrame f;
-        if (!parseServerFrame(payload, &f, &err) ||
-            f.type != ServerFrame::Type::Healthz) {
-            std::fprintf(stderr,
-                         "conopt_served: unexpected healthz reply: %s\n",
-                         err.empty() ? payload.c_str() : err.c_str());
             return 2;
         }
         // conopt-lint: allow(stray-output) healthz JSON is the output
-        std::printf("%s\n", f.body.c_str());
+        std::printf("%s\n", body.c_str());
         return 0;
     }
 

@@ -1,12 +1,16 @@
 /**
  * @file
  * The standing sweep service: everything behind `conopt_served` and
- * `conopt_sweep --connect`. A daemon keeps warm SimSessions, a hot
+ * `conopt_sweep --connect`, plus the one frame protocol every
+ * conopt_sweep shard speaks. A daemon keeps warm SimSessions, a hot
  * ProgramCache, and an always-on ResultCache across requests, so a
  * fleet of short gate runs stops paying process start + program build
  * + cold-cache cost on every invocation.
  *
- * Wire protocol (TCP `host:port` or `unix:PATH`), lowest layer first:
+ * Wire protocol, lowest layer first. It runs on a TCP `host:port` or
+ * `unix:PATH` socket to a daemon, and on the stdout of a bench run
+ * with `--wire` (src/sim/harness.hh), which sends the same server ->
+ * client envelopes for its one run:
  *
  *   frame    := <decimal-length> ' ' <payload bytes> '\n'
  *               (length counts only the payload; max 64 MiB)
@@ -24,14 +28,13 @@
  * and for healthz/status:
  *   {"type":"healthz", ...stat fields...}
  *
- * The progress lines are the exact CONOPT-PROGRESS v1 protocol the
- * ephemeral shard path speaks (src/sim/driver.hh), with the daemon's
- * queue_depth=/sessions= keys injected; the artifact is the exact
- * BenchArtifact::toJson() text, so a --connect client writes the bytes
- * verbatim and the merged artifact is byte-identical to an
- * ephemeral-shard run. Error codes follow the repo-wide exit contract:
+ * The progress lines are CONOPT-PROGRESS v1 lines (src/sim/driver.hh);
+ * a daemon adds its queue_depth=/sessions= keys. The artifact is the
+ * exact BenchArtifact::toJson() text, so the driver writes the bytes
+ * verbatim and a merged artifact is byte-identical whichever transport
+ * carried its shards. Error codes follow the repo-wide exit contract:
  * 1 = the bench ran and failed, 2 = the request never ran (malformed,
- * unknown bench, queue full, draining).
+ * unknown bench, queue full, draining, too many connections).
  *
  * README.md ("Standing fleet") is the user-facing spec of this
  * protocol; src/sim/request.hh owns the SweepRequest schema.
@@ -97,8 +100,9 @@ class FrameReader
  *  the connected socket, or -1 with @p err. */
 int connectToService(const std::string &addr, std::string *err);
 
-/** Send @p payload as one frame (handles partial writes; SIGPIPE-safe
- *  via MSG_NOSIGNAL). False with @p err on a write error. */
+/** Send @p payload as one frame on a socket or a pipe (handles
+ *  partial writes; a vanished reader is EPIPE, never SIGPIPE). False
+ *  with @p err on a write error. */
 bool writeFrame(int fd, const std::string &payload, std::string *err);
 
 /** Read from @p fd into @p rd until one complete frame is available
@@ -107,6 +111,12 @@ bool writeFrame(int fd, const std::string &payload, std::string *err);
  *  or a malformed stream. */
 bool readFrame(int fd, FrameReader *rd, std::string *payload,
                double timeoutSeconds, std::string *err);
+
+/** One healthz round-trip to @p addr: connect, send a healthz frame,
+ *  and return the reply JSON in @p body. @p timeoutSeconds bounds the
+ *  read. False with @p err on any failure. */
+bool fetchHealthz(const std::string &addr, double timeoutSeconds,
+                  std::string *body, std::string *err);
 
 // --------------------------------------------------------------------------
 // Envelopes
@@ -154,6 +164,11 @@ bool executeSweepRequest(const SweepRequest &req, const BenchContext &ctx,
 // The service
 // --------------------------------------------------------------------------
 
+/** Live-connection cap of one SweepService. Each connection holds a
+ *  reader thread, so an accept past the cap gets a code-2 error frame
+ *  and is closed instead. */
+constexpr size_t kMaxConnections = 128;
+
 struct ServiceOptions
 {
     /** `host:port` (port 0 = ephemeral, see SweepService::addr()) or
@@ -196,11 +211,11 @@ struct ServiceStats
 };
 
 /**
- * The daemon engine: listen socket, per-connection reader threads, a
- * bounded priority queue (higher SweepRequest::priority first, FIFO
- * within a level), and a worker pool that executes requests against
- * one shared ProgramCache / ResultCache with per-worker warm
- * SimSessions (workers run sweeps single-threaded, so SweepRunner's
+ * The daemon engine: listen socket, per-connection reader threads (at
+ * most kMaxConnections live), a bounded priority queue (higher
+ * SweepRequest::priority first, FIFO within a level), and a worker
+ * pool that executes requests against one shared ProgramCache /
+ * ResultCache with per-worker warm SimSessions (workers run sweeps single-threaded, so SweepRunner's
  * thread-local session is constructed once per worker and reused).
  *
  * Threading: start() spawns the workers; the owner drives accepts by

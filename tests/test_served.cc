@@ -12,7 +12,9 @@
  *   - the warm path is warm: repeat requests construct no new
  *     SimSessions and reach a steady state where a run performs the
  *     same number of heap allocations as the previous identical run;
- *   - concurrent clients are all served; healthz counts them;
+ *   - concurrent clients are all served; healthz counts them; a
+ *     connection past the live-connection cap gets a code-2 error
+ *     frame and is closed;
  *   - a real daemon process drains gracefully on SIGTERM: the
  *     in-flight request still gets its result frame and the process
  *     exits 0.
@@ -587,6 +589,83 @@ TEST(Service, HealthzReportsTheRequestStream)
         << "the program cache stays warm across requests";
     EXPECT_EQ(doc.get("latency_sample_s")->size(), 1u)
         << "reservoir snapshot of the request stream";
+    svc.shutdown();
+}
+
+namespace {
+
+/** One healthz round-trip on @p fd, connected to @p addr: the reply
+ *  frame, or an Error-typed one carrying the transport failure. */
+sim::ServerFrame
+healthzOnce(const std::string &addr, int fd)
+{
+    std::string err, payload;
+    sim::ServerFrame f;
+    sim::FrameReader rd;
+    if (!sim::writeFrame(fd, sim::makeHealthzFrame(), &err) ||
+        !sim::readFrame(fd, &rd, &payload, kFrameTimeoutSeconds, &err) ||
+        !sim::parseServerFrame(payload, &f, &err))
+        f.message = addr + ": " + err;
+    return f;
+}
+
+} // namespace
+
+TEST(Service, ConnectionsPastTheCapGetAnErrorFrame)
+{
+    TempDir tmp;
+    sim::ServiceOptions so;
+    so.listenAddr = "unix:" + tmp.file("cap.sock");
+    sim::SweepService svc(so);
+    std::string err;
+    ASSERT_TRUE(svc.start(&err)) << err;
+    ServicePump pump(svc);
+
+    // Fill the cap with served connections (a healthz round-trip
+    // proves each one was accepted and has its reader).
+    std::vector<int> fds;
+    for (size_t i = 0; i < sim::kMaxConnections; ++i) {
+        const int fd = sim::connectToService(svc.addr(), &err);
+        ASSERT_GE(fd, 0) << err;
+        fds.push_back(fd);
+        ASSERT_EQ(healthzOnce(svc.addr(), fd).type,
+                  sim::ServerFrame::Type::Healthz)
+            << "connection " << i;
+    }
+
+    // One more: told why, then dropped.
+    const int over = sim::connectToService(svc.addr(), &err);
+    ASSERT_GE(over, 0) << err;
+    sim::FrameReader rd;
+    std::string payload;
+    ASSERT_TRUE(
+        sim::readFrame(over, &rd, &payload, kFrameTimeoutSeconds, &err))
+        << err;
+    sim::ServerFrame f;
+    ASSERT_TRUE(sim::parseServerFrame(payload, &f, &err)) << err;
+    EXPECT_EQ(f.type, sim::ServerFrame::Type::Error);
+    EXPECT_EQ(f.code, 2);
+    EXPECT_NE(f.message.find("too many connections"), std::string::npos)
+        << f.message;
+    EXPECT_FALSE(
+        sim::readFrame(over, &rd, &payload, kFrameTimeoutSeconds, &err));
+    ::close(over);
+
+    // Closed connections stop counting: healthz answers again once
+    // their readers are reaped.
+    for (int fd : fds)
+        ::close(fd);
+    bool answered = false;
+    for (int i = 0; i < kDaemonWaitDeciseconds && !answered; ++i) {
+        const int fd = sim::connectToService(svc.addr(), &err);
+        ASSERT_GE(fd, 0) << err;
+        answered = healthzOnce(svc.addr(), fd).type ==
+                   sim::ServerFrame::Type::Healthz;
+        ::close(fd);
+        if (!answered)
+            ::usleep(100000);
+    }
+    EXPECT_TRUE(answered);
     svc.shutdown();
 }
 

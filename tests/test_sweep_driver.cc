@@ -6,22 +6,24 @@
  *   - the driver-merged artifact is byte-identical to the unsharded
  *     run (after the canonical sort + geomean recompute the driver
  *     performs), so one-command distribution never changes the
- *     science;
- *   - a crashed, killed, or hung shard is a hard failure (exit 2)
- *     with its captured stderr surfaced — never a silently thinner
- *     merged artifact (a shard that "succeeds" without writing its
- *     artifact is caught too);
- *   - bounded retry recovers a transient shard failure without
- *     double-counting its partial artifact;
+ *     science — also when the shards run in another directory, since
+ *     artifacts come back in result frames, not through a shared
+ *     filesystem;
+ *   - a crashed, killed, hung, or garbled shard, or one that ends
+ *     without a result frame or sends one and then fails, is a hard
+ *     failure (exit 2) with its captured stderr surfaced — never a
+ *     silently thinner merged artifact;
+ *   - bounded retry recovers a transient shard failure;
  *   - CLI / launcher-template / progress-line parsing rejects
  *     malformed input up front.
  *
  * The test binary doubles as the bench binary the driver launches:
  * when CONOPT_DRIVER_TEST_CHILD is set, main() dispatches to a child
  * mode (a real 6-job sweep through the bench harness, a crash, a
- * SIGKILL, a hang, or a fail-once-then-succeed bench) instead of
- * running GoogleTest, so the whole spawn/stream/retry/merge/gate path
- * is exercised with no fixtures outside the build tree.
+ * SIGKILL, a hang, a fail-once-then-succeed bench, or a broken frame
+ * stream) instead of running GoogleTest, so the whole
+ * spawn/stream/retry/merge/gate path is exercised with no fixtures
+ * outside the build tree.
  */
 
 #include <signal.h>
@@ -102,6 +104,17 @@ childMain(const std::string &mode, int argc, char **argv)
         ::raise(SIGKILL);
         return 9; // unreachable
     }
+    if (mode == "garbage") {
+        // Bytes on the wire stdout that are not a frame.
+        std::fprintf(stderr, "garbage: writing non-frame bytes\n");
+        std::fputs("this is not a frame\n", stdout);
+        std::fflush(nullptr);
+        return 0;
+    }
+    if (mode == "noresult") {
+        std::fprintf(stderr, "noresult: exiting 0 without a result\n");
+        return 0;
+    }
     if (mode == "hang") {
         std::fprintf(stderr, "hanging until killed\n");
         std::fflush(nullptr);
@@ -138,14 +151,20 @@ childMain(const std::string &mode, int argc, char **argv)
                 ::usleep(100000);
             ::_exit(0);
         }
-    } else if (mode != "bench") {
+    } else if (mode != "bench" && mode != "resultthenfail") {
         std::fprintf(stderr, "unknown child mode '%s'\n", mode.c_str());
         return 4;
     }
     const bench::HarnessOptions hopts = bench::harnessInit(argc, argv);
     sim::SweepRunner runner(hopts.sweepOptions());
     const auto res = runner.run(childSpec());
-    return bench::finishSweep(kChildBench, res, "base", {"opt"}, hopts);
+    const int rc =
+        bench::finishSweep(kChildBench, res, "base", {"opt"}, hopts);
+    if (mode == "resultthenfail") {
+        std::fprintf(stderr, "resultthenfail: result sent, exiting 3\n");
+        return 3;
+    }
+    return rc;
 }
 
 /** Scratch directory, removed on destruction. */
@@ -187,6 +206,15 @@ struct EnvGuard
         ::setenv(n, v.c_str(), 1);
     }
     ~EnvGuard() { ::unsetenv(name.c_str()); }
+};
+
+/** chdir for the lifetime of a test. */
+struct CwdGuard
+{
+    fs::path old = fs::current_path();
+
+    explicit CwdGuard(const fs::path &dir) { fs::current_path(dir); }
+    ~CwdGuard() { fs::current_path(old); }
 };
 
 std::string
@@ -486,10 +514,8 @@ TEST(BuildShardArgv, LocalDirectExec)
     std::string err;
     const auto argv = sim::buildShardArgv(o, 1, &err);
     const std::vector<std::string> want = {
-        "/bin/bench_bin", "--shard",       "1/2",
-        "--artifact-dir", "out/bench_bin.shards",
-        "--result-cache", "rc",
-        "--progress-fd",  "3"};
+        "/bin/bench_bin", "--shard", "1/2", "--wire", "--result-cache",
+        "rc"};
     EXPECT_EQ(argv, want);
 }
 
@@ -508,7 +534,7 @@ TEST(BuildShardArgv, LauncherWrapsThroughShell)
     EXPECT_EQ(argv[2].rfind("nice -n 19 './bench'", 0), 0u) << argv[2];
 }
 
-TEST(BuildShardArgv, SshRoundRobinsHostsWithoutProgressFd)
+TEST(BuildShardArgv, SshRoundRobinsHostsOverTheWire)
 {
     sim::DriverOptions o;
     o.benchPath = "./bench";
@@ -522,8 +548,8 @@ TEST(BuildShardArgv, SshRoundRobinsHostsWithoutProgressFd)
     EXPECT_EQ(a3[2], "h2"); // shard 3 of hosts {h1, h2}
     EXPECT_EQ(a3[3].rfind("cd ", 0), 0u) << a3[3];
     EXPECT_NE(a3[3].find("--shard' '3/4'"), std::string::npos) << a3[3];
-    // A pipe fd cannot cross ssh, so no --progress-fd remotely.
-    EXPECT_EQ(a3[3].find("--progress-fd"), std::string::npos) << a3[3];
+    // The remote shard's frames come back over ssh's stdout.
+    EXPECT_NE(a3[3].find("'--wire'"), std::string::npos) << a3[3];
 }
 
 TEST(BuildShardArgv, LauncherWithSshHostsRotatesHostPlaceholder)
@@ -543,8 +569,7 @@ TEST(BuildShardArgv, LauncherWithSshHostsRotatesHostPlaceholder)
     EXPECT_EQ(a0[0], "/bin/sh");
     EXPECT_EQ(a0[2].rfind("ssh h1 timeout 3600 ", 0), 0u) << a0[2];
     EXPECT_EQ(a3[2].rfind("ssh h2 timeout 3600 ", 0), 0u) << a3[2];
-    // Remote shards get no --progress-fd pipe.
-    EXPECT_EQ(a3[2].find("--progress-fd"), std::string::npos) << a3[2];
+    EXPECT_NE(a3[2].find("'--wire'"), std::string::npos) << a3[2];
 }
 
 // ---------------------------------------------------------------------------
@@ -636,6 +661,7 @@ TEST(ParseDriverArgs, RejectsMalformedInput)
         {"--connect", "a:1", "--ssh", "h1", "b"},
         {"--bogus", "b"},                      // unknown flag
         {"bench1", "bench2"},                  // two positionals
+        {"b", "--", "--wire"},                 // the driver's channel
     };
     for (const auto &args : bad) {
         EXPECT_FALSE(sim::parseDriverArgs(args, &o, &err))
@@ -830,20 +856,97 @@ TEST(SweepDriverRun, TransientFailureWithoutRetryBudgetStaysFatal)
     }
 }
 
-TEST(SweepDriverRun, ShardThatWritesNoArtifactIsAHardError)
+namespace {
+
+/** Run a 2-shard fleet of child @p mode with one retry and check it
+ *  failed hard: every attempt spent, @p stderrLine surfaced, nothing
+ *  merged, and no shard artifact written. */
+void
+expectBrokenStreamFails(const char *mode, const char *stderrLine)
+{
+    TempDir tmp;
+    EnvGuard child("CONOPT_DRIVER_TEST_CHILD", mode);
+
+    auto o = childDriverOptions(tmp, 2);
+    o.retries = 1;
+    o.geomeanBase = "base";
+    const auto out = sim::runSweepDriver(o);
+    EXPECT_EQ(out.exitCode, 2);
+    EXPECT_NE(out.error.find("failed"), std::string::npos) << out.error;
+    EXPECT_TRUE(out.mergedArtifactPath.empty());
+    ASSERT_EQ(out.shards.size(), 2u);
+    for (const auto &s : out.shards) {
+        EXPECT_FALSE(s.ok);
+        EXPECT_EQ(s.attempts, 2u);
+        EXPECT_NE(s.outputTail.find(stderrLine), std::string::npos)
+            << s.outputTail;
+    }
+    EXPECT_FALSE(fs::exists(tmp.path / "BENCH_test_sweep_driver.json"));
+    EXPECT_TRUE(fs::is_empty(tmp.path / "test_sweep_driver.shards"));
+}
+
+} // namespace
+
+TEST(SweepDriverRun, NonFrameBytesOnTheWireAreAHardError)
+{
+    expectBrokenStreamFails("garbage", "garbage: writing non-frame bytes");
+}
+
+TEST(SweepDriverRun, ShardThatExitsZeroWithoutAResultIsAHardError)
+{
+    // A shard that exits 0 but returns no artifact: the classic
+    // silently-thinner-merge hazard the driver must catch.
+    expectBrokenStreamFails("noresult", "noresult: exiting 0");
+}
+
+TEST(SweepDriverRun, ShardThatFailsAfterItsResultIsAHardError)
+{
+    expectBrokenStreamFails("resultthenfail",
+                            "resultthenfail: result sent, exiting 3");
+}
+
+TEST(SweepDriverRun, FigureGateWithoutAGeomeanBaseIsAUsageError)
 {
     TempDir tmp;
     EnvGuard mode("CONOPT_DRIVER_TEST_CHILD", "bench");
 
-    // --no-artifact makes every shard exit 0 without writing its file:
-    // the classic silently-thinner-merge hazard the driver must catch.
+    const auto baseline = referenceArtifact();
+    ASSERT_FALSE(baseline.geomeans.empty());
+    std::string err;
+    ASSERT_TRUE(baseline.save(tmp.file("baseline.json"), &err)) << err;
+
+    // Shards defer the geomeans; without --recompute-geomeans the gate
+    // must not report them all as drift.
     auto o = childDriverOptions(tmp, 2);
-    o.benchArgs = {"--no-artifact"};
+    o.run.baselinePath = tmp.file("baseline.json");
     const auto out = sim::runSweepDriver(o);
     EXPECT_EQ(out.exitCode, 2);
-    EXPECT_NE(out.error.find("missing"), std::string::npos) << out.error;
-    for (const auto &s : out.shards)
-        EXPECT_TRUE(s.ok) << "the shards themselves exited 0";
+    EXPECT_NE(out.error.find("--recompute-geomeans <base>"),
+              std::string::npos)
+        << out.error;
+    EXPECT_TRUE(out.gateDiffs.empty());
+}
+
+TEST(SweepDriverRun, ShardsInAnotherDirectoryNeedNoSharedFilesystem)
+{
+    // The ssh path without ssh: every shard runs from a directory the
+    // driver never reads, and the driver's --artifact-dir is relative.
+    TempDir tmp;
+    EnvGuard mode("CONOPT_DRIVER_TEST_CHILD", "bench");
+    const fs::path elsewhere = tmp.path / "elsewhere";
+    fs::create_directories(elsewhere);
+    CwdGuard cwd(tmp.path);
+
+    auto o = childDriverOptions(tmp, 2);
+    o.run.artifactDir = "out";
+    o.launcher = "cd " + sim::shellQuote(elsewhere.string()) + " && {cmd}";
+    o.geomeanBase = "base";
+    const auto out = sim::runSweepDriver(o);
+    ASSERT_EQ(out.exitCode, 0) << out.error;
+    EXPECT_EQ(readFile((tmp.path / "out" / "BENCH_test_sweep_driver.json")
+                           .string()),
+              referenceArtifact().toJson());
+    EXPECT_TRUE(fs::is_empty(elsewhere)) << "shards write no files";
 }
 
 TEST(SweepDriverRun, BenchFlagErrorSurfacesInCapturedOutput)
