@@ -43,7 +43,7 @@
  *   --ipc-sample-interval N  flag form of CONOPT_IPC_SAMPLE
  *   --progress            flag form of CONOPT_PROGRESS
  *   --wire                stdout becomes a frame stream (the
- *                         protocol of src/sim/service.hh) and fd 1
+ *                         protocol of src/sim/wire.hh) and fd 1
  *                         points at stderr: one progress envelope per
  *                         finished job, then the artifact in one
  *                         result envelope (or an error envelope) and
@@ -83,8 +83,8 @@
 namespace conopt::bench {
 
 // The implementation lives in the src/sim library (src/sim/harness.hh)
-// so tools and the standing daemon link the exact same parser and
-// artifact pipeline; this header keeps the historical bench:: spelling
+// so tools and tests link the exact same parser and artifact
+// pipeline; this header keeps the historical bench:: spelling
 // every table/figure binary uses.
 
 /** Harness options shared by every bench binary (see file header). */

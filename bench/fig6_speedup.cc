@@ -9,10 +9,9 @@
  * untoast stand out in their suites; mediabench has the largest overall
  * improvement.
  *
- * The sweep itself lives in the bench registry
- * (src/sim/bench_registry.hh) so conopt_served serves the identical
- * artifact; this binary prints the reporter table from the sweep
- * result and applies the save + baseline gate.
+ * The sweep itself is sim::buildFig6 (src/sim/bench_registry.hh); this
+ * binary prints the reporter table from the sweep result and applies
+ * the save + baseline gate.
  */
 
 #include "bench/bench_common.hh"
@@ -25,19 +24,8 @@ main(int argc, char **argv)
 {
     const bench::HarnessOptions hopts = bench::harnessInit(argc, argv);
 
-    sim::BenchContext ctx;
-    ctx.resultCache = hopts.resultCache;
-    ctx.onProgress = hopts.progressFn();
     sim::SweepResult res;
-    ctx.resultOut = &res;
-
-    const sim::BenchDef *def = sim::findBench("fig6_speedup");
-    sim::BenchArtifact art;
-    std::string err;
-    if (!def->build(hopts.run, ctx, &art, &err)) {
-        std::fprintf(stderr, "fig6_speedup: %s\n", err.c_str());
-        return 1;
-    }
+    sim::BenchArtifact art = sim::buildFig6(hopts.sweepOptions(), &res);
 
     sim::TableOptions t;
     t.title = "Figure 6: Speedup of continuous optimization over baseline";

@@ -6,10 +6,10 @@
  * scaled synthetic kernels, so the table reports both the paper's count
  * and ours, plus the checksum that pins functional behaviour.
  *
- * The run itself (a functional emulator pass over every workload) lives
- * in the bench registry (src/sim/bench_registry.hh) so conopt_served
- * serves the identical artifact; this binary prints the human table
- * from the built artifact and applies the save + baseline gate.
+ * The run itself (a functional emulator pass over every workload) is
+ * sim::buildTable1 (src/sim/bench_registry.hh); this binary prints the
+ * human table from the built artifact and applies the save + baseline
+ * gate.
  */
 
 #include <cinttypes>
@@ -27,10 +27,9 @@ main(int argc, char **argv)
     std::printf("%-10s %-12s %38s %12s %10s\n", "App.", "Type", "Name",
                 "Paper insts", "Our insts");
 
-    const sim::BenchDef *def = sim::findBench("table1_workloads");
     sim::BenchArtifact art;
     std::string err;
-    if (!def->build(hopts.run, sim::BenchContext{}, &art, &err)) {
+    if (!sim::buildTable1(hopts.run, &art, &err)) {
         std::printf("%s\n", err.c_str());
         return 1;
     }

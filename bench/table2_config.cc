@@ -2,10 +2,9 @@
  * @file
  * Reproduces Table 2 of the paper: the simulated machine configuration,
  * as actually instantiated by this repository's timing model. The
- * preset fingerprints come from the bench registry
- * (src/sim/bench_registry.hh) — the same artifact conopt_served
- * serves — so any silent change to the experimental setup (Table 2
- * itself) trips the baseline gate.
+ * artifact pins every preset's fingerprint (sim::buildTable2 in
+ * src/sim/bench_registry.hh), so any silent change to the experimental
+ * setup (Table 2 itself) trips the baseline gate.
  */
 
 #include "bench/bench_common.hh"
@@ -23,12 +22,6 @@ main(int argc, char **argv)
     std::printf("%s",
                 pipeline::MachineConfig::optimized().describe().c_str());
 
-    const sim::BenchDef *def = sim::findBench("table2_config");
-    sim::BenchArtifact art;
-    std::string err;
-    if (!def->build(hopts.run, sim::BenchContext{}, &art, &err)) {
-        std::fprintf(stderr, "table2_config: %s\n", err.c_str());
-        return 1;
-    }
-    return bench::finish("table2_config", std::move(art), hopts);
+    return bench::finish("table2_config", sim::buildTable2(hopts.run),
+                         hopts);
 }

@@ -14,8 +14,7 @@
  *
  * PredecodeCache shares the flattened tables process-wide, keyed by a
  * fingerprint over the FULL program content (entry pc, every code
- * field, every data byte): every sweep cell over the same workload —
- * and every warm SimSession in the standing conopt_served daemon —
+ * field, every data byte): every sweep cell over the same workload
  * reuses one decode pass, while any change to the program (a different
  * scale, a regenerated workload) lands on a different key and can
  * never replay stale records. Steady-state lookups are allocation-free
@@ -113,8 +112,8 @@ class PreDecodedProgram
 /**
  * Process-wide cache of PreDecodedProgram tables keyed by
  * programContentKey(). One instance() shared by every emulator in the
- * process: concurrent sweep workers and daemon sessions running the
- * same workload share one decode pass. Entries live for the process
+ * process: concurrent sweep workers running the same workload share
+ * one decode pass. Entries live for the process
  * (the key space is bounded by distinct (workload, scale) programs,
  * same as sim::ProgramCache); a changed program simply maps to a new
  * key, which is the whole invalidation story.

@@ -9,27 +9,15 @@
 
 namespace conopt::sim {
 
-namespace {
-
-/** Table 1: functional (emulator-only) run over every workload. The
- *  regression units are the dynamic instruction count and the memory
- *  checksum; cycles stay 0. */
 bool
-buildTable1(const RunOptions &run, const BenchContext &ctx,
-            BenchArtifact *art, std::string *err)
+buildTable1(const RunOptions &run, BenchArtifact *art, std::string *err)
 {
-    art->scale = run.effectiveScale();
+    const unsigned scaleMul = envScale();
+    art->scale = scaleMul;
     art->threads = run.effectiveThreads();
 
-    ProgramCache local;
-    ProgramCache &cache = ctx.programs ? *ctx.programs : local;
-    const unsigned scaleMul = run.effectiveScale();
+    ProgramCache cache;
     const auto &all = workloads::allWorkloads();
-    size_t total = 0;
-    for (size_t i = 0; i < all.size(); ++i)
-        if (run.shard.contains(i))
-            ++total;
-    size_t done = 0;
     for (size_t i = 0; i < all.size(); ++i) {
         // Emulator loop, not a SweepRunner: apply the same round-robin
         // shard partition by position in the full workload list.
@@ -54,35 +42,23 @@ buildTable1(const RunOptions &run, const BenchContext &ctx,
         j.halted = true;
         j.checksum = emu.memory().readQuad(workloads::checksumAddr);
         art->jobs.push_back(std::move(j));
-        if (ctx.onProgress) {
-            SweepProgress p;
-            p.done = ++done;
-            p.total = total;
-            p.label = art->jobs.back().label;
-            ctx.onProgress(p);
-        }
     }
     return true;
 }
 
-/** Table 2: no simulation — the artifact pins the fingerprint of every
- *  preset machine, so a silent change to the experimental setup trips
- *  the baseline gate. */
-bool
-buildTable2(const RunOptions &run, const BenchContext &ctx,
-            BenchArtifact *art, std::string *err)
+BenchArtifact
+buildTable2(const RunOptions &run)
 {
-    (void)ctx;
-    (void)err;
-    art->scale = run.effectiveScale();
-    art->threads = run.effectiveThreads();
+    BenchArtifact art;
+    art.scale = envScale();
+    art.threads = run.effectiveThreads();
     size_t idx = 0;
     const auto preset = [&](const char *name,
                             const pipeline::MachineConfig &cfg) {
         // Positional shard partition over the preset list, matching
         // the sweep engine's round-robin convention.
         if (run.shard.contains(idx++))
-            art->jobs.push_back(configJob(name, cfg));
+            art.jobs.push_back(configJob(name, cfg));
     };
     preset("baseline", pipeline::MachineConfig::baseline());
     preset("optimized", pipeline::MachineConfig::optimized());
@@ -90,63 +66,18 @@ buildTable2(const RunOptions &run, const BenchContext &ctx,
     preset("fetch_bound_opt", pipeline::MachineConfig::fetchBound(true));
     preset("exec_bound", pipeline::MachineConfig::execBound(false));
     preset("exec_bound_opt", pipeline::MachineConfig::execBound(true));
-    return true;
+    return art;
 }
 
-/** Figure 6: the full timing sweep (every workload x base/opt). */
-bool
-buildFig6(const RunOptions &run, const BenchContext &ctx,
-          BenchArtifact *art, std::string *err)
+BenchArtifact
+buildFig6(const SweepOptions &so, SweepResult *res)
 {
-    (void)err;
     SweepSpec spec;
     spec.allWorkloads()
         .config("base", pipeline::MachineConfig::baseline())
         .config("opt", pipeline::MachineConfig::optimized());
-
-    SweepOptions so;
-    so.run = run;
-    if (ctx.execThreads)
-        so.run.threads = ctx.execThreads;
-    so.cache = ctx.programs;
-    so.resultCache = ctx.resultCache;
-    so.onProgress = ctx.onProgress;
-    so.ipcReservoirCapacity = ctx.ipcReservoirCapacity;
-
-    SweepRunner runner(so);
-    auto res = runner.run(spec);
-    *art = artifactFromSweep(res, run, "base", {"opt"});
-    if (ctx.resultOut)
-        *ctx.resultOut = std::move(res);
-    return true;
-}
-
-} // namespace
-
-const std::vector<BenchDef> &
-benchRegistry()
-{
-    static const std::vector<BenchDef> registry = {
-        {"table1_workloads",
-         "Table 1: workload instruction counts and checksums (functional)",
-         buildTable1},
-        {"table2_config",
-         "Table 2: machine-configuration preset fingerprints",
-         buildTable2},
-        {"fig6_speedup",
-         "Figure 6: continuous-optimization speedup over baseline",
-         buildFig6},
-    };
-    return registry;
-}
-
-const BenchDef *
-findBench(const std::string &name)
-{
-    for (const auto &def : benchRegistry())
-        if (name == def.name)
-            return &def;
-    return nullptr;
+    *res = SweepRunner(so).run(spec);
+    return artifactFromSweep(*res, so.run, "base", {"opt"});
 }
 
 } // namespace conopt::sim

@@ -1,81 +1,40 @@
 /**
  * @file
- * The registry of *servable* benches: each entry maps a bench name (the
- * same name that titles its BENCH_<name>.json artifact) to a pure build
- * function that turns a RunOptions into a BenchArtifact. Build
- * functions never print tables, never write files, and never exit —
- * that separation is what lets three callers share one implementation:
- *
- *   - the bench binary (bench/table1_workloads.cc, ...) builds the
- *     artifact here, prints its human table from the result, and hands
- *     the artifact to harnessFinish() for the save + baseline gate;
- *   - conopt_served executes wire SweepRequests against the registry
- *     and streams the artifact bytes back, touching no client files;
- *   - tests drive the exact code path the daemon serves, in-process.
- *
- * Only deterministic, self-contained figures are registered (the
- * perf-measurement benches stay binary-only: their numbers describe the
- * host, not the simulated machine, so serving them from a remote
- * daemon would be meaningless).
+ * The artifact builds of the three benches whose runs the library
+ * owns: Table 1, Table 2, and Figure 6. Each is a pure function from a
+ * run description to a BenchArtifact. It never prints a table, writes
+ * a file, or exits, so the bench binary (bench/table1_workloads.cc,
+ * bench/table2_config.cc, bench/fig6_speedup.cc) prints its human
+ * table from the result and hands the artifact to harnessFinish() for
+ * the save + baseline gate, or for the result envelope under `--wire`.
  */
 
 #ifndef CONOPT_SIM_BENCH_REGISTRY_HH
 #define CONOPT_SIM_BENCH_REGISTRY_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/sim/baseline.hh"
 #include "src/sim/request.hh"
-#include "src/sim/result_cache.hh"
 #include "src/sim/sweep.hh"
 
 namespace conopt::sim {
 
-/** The process-local resources a build runs with — the bits of
- *  SweepOptions that never travel on the wire. All fields optional:
- *  the default context (no caches, no progress) is what a standalone
- *  bench binary run uses. */
-struct BenchContext
-{
-    /** Shared decoded-program cache; nullptr = the build uses its own
-     *  transient cache. The daemon passes its long-lived cache so warm
-     *  requests skip program construction entirely. */
-    ProgramCache *programs = nullptr;
-    /** Persistent keyed result cache (may be null). */
-    std::shared_ptr<ResultCache> resultCache;
-    /** Per-finished-job progress sink (may be empty). */
-    ProgressFn onProgress;
-    /** Reservoir capacity for --ipc-sample-interval sampling. */
-    size_t ipcReservoirCapacity = 256;
-    /** Non-zero: override the sweep worker-thread count regardless of
-     *  what the request asks for. The daemon pins this to 1 so each
-     *  worker thread reuses its warm thread-local SimSession instead
-     *  of fanning out to cold pool threads. */
-    unsigned execThreads = 0;
-    /** Non-null: sweep-based builds copy their SweepResult here so the
-     *  bench binary can print its reporter table without re-running. */
-    SweepResult *resultOut = nullptr;
-};
+/** Table 1: a functional (emulator-only) run over the workloads of
+ *  @p run's shard. The regression units are the dynamic instruction
+ *  count and the memory checksum; cycles stay 0. False (with @p err)
+ *  when a workload does not halt. */
+bool buildTable1(const RunOptions &run, BenchArtifact *art,
+                 std::string *err);
 
-/** One registered bench. */
-struct BenchDef
-{
-    const char *name;        ///< artifact name, e.g. "fig6_speedup"
-    const char *description; ///< one-line summary for status output
-    /** Build the artifact for @p run. False (with @p err) only on a
-     *  functional failure (a workload that did not halt); shard
-     *  filtering, scaling, and sampling all come from @p run. */
-    bool (*build)(const RunOptions &run, const BenchContext &ctx,
-                  BenchArtifact *art, std::string *err);
-};
+/** Table 2: no simulation. The artifact pins the fingerprint of every
+ *  preset machine in @p run's shard, so a silent change to the
+ *  experimental setup trips the baseline gate. */
+BenchArtifact buildTable2(const RunOptions &run);
 
-/** All registered benches, in stable order. */
-const std::vector<BenchDef> &benchRegistry();
-
-/** Look up one bench; nullptr if the name is not registered. */
-const BenchDef *findBench(const std::string &name);
+/** Figure 6: the timing sweep of every workload x base/opt under
+ *  @p so. The sweep result lands in @p res for the reporter table. */
+BenchArtifact buildFig6(const SweepOptions &so, SweepResult *res);
 
 } // namespace conopt::sim
 

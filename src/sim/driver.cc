@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -22,7 +21,7 @@
 
 #include "src/sim/baseline.hh"
 #include "src/sim/harness.hh"
-#include "src/sim/service.hh"
+#include "src/sim/wire.hh"
 
 namespace conopt::sim {
 
@@ -56,21 +55,7 @@ formatProgressLine(const SweepProgress &p)
                   p.jobHostSeconds, p.totalHostSeconds, p.elapsedSeconds,
                   p.etaSeconds, p.geomeanIpc, p.kips, p.hostP50, p.hostP95,
                   p.hostP99);
-    std::string line = head;
-    // Daemon-backed shards carry their service context; ephemeral
-    // shards (both fields 0) keep the exact pre-existing bytes, and v1
-    // parsers skip the keys they don't know (regression-tested in
-    // tests/test_sweep_driver.cc).
-    if (p.queueDepth || p.sessions) {
-        char svc[96];
-        std::snprintf(svc, sizeof(svc),
-                      "queue_depth=%llu sessions=%llu ",
-                      (unsigned long long)p.queueDepth,
-                      (unsigned long long)p.sessions);
-        line += svc;
-    }
-    line += "label=";
-    return line + p.label;
+    return std::string(head) + "label=" + p.label;
 }
 
 bool
@@ -86,11 +71,8 @@ parseProgressLine(const std::string &lineIn, SweepProgress *out)
 
     SweepProgress p;
     uint64_t done = 0, total = 0;
-    const std::pair<const char *, uint64_t *> counts[] = {
-        {"done", &done},
-        {"total", &total},
-        {"queue_depth", &p.queueDepth},
-        {"sessions", &p.sessions}};
+    const std::pair<const char *, uint64_t *> counts[] = {{"done", &done},
+                                                          {"total", &total}};
     const std::pair<const char *, double *> reals[] = {
         {"job_s", &p.jobHostSeconds},   {"host_s", &p.totalHostSeconds},
         {"elapsed_s", &p.elapsedSeconds}, {"eta_s", &p.etaSeconds},
@@ -382,15 +364,6 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
                        "hosts)";
                 return false;
             }
-        } else if (a == "--connect") {
-            if (!value(a, &v))
-                return false;
-            if (!splitList(v, &o.connectHosts)) {
-                *err = "invalid --connect '" + v +
-                       "' (want a comma-separated list of non-empty "
-                       "host:port or unix:PATH endpoints)";
-                return false;
-            }
         } else if (a == "--no-progress") {
             o.streamProgress = false;
         } else if (!a.empty() && a[0] == '-') {
@@ -429,12 +402,6 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
                    "locally";
             return false;
         }
-    }
-    if (!o.connectHosts.empty() &&
-        (!o.launcher.empty() || !o.sshHosts.empty())) {
-        *err = "--connect drives a standing fleet and cannot be "
-               "combined with --launcher or --ssh";
-        return false;
     }
     if (o.benchName.empty()) {
         o.benchName = fs::path(o.benchPath).filename().string();
@@ -584,35 +551,33 @@ drainFd(int fd, Sink &&sink)
 }
 
 /** One shard across its (possibly retried) attempts. Every attempt is
- *  a frame stream on frameFd, whatever runs it: a child's stdout pipe
- *  (a local, --launcher, or ssh shard) or a --connect socket. A child
- *  also has a stderr pipe and a pid; a --connect attempt has neither. */
+ *  a child process (a local bench, or a --launcher or ssh wrapper)
+ *  whose stdout pipe is a frame stream and whose stderr is captured. */
 struct ShardSlot
 {
     unsigned index = 0;
     unsigned attempts = 0;
-    pid_t pid = -1;   ///< the attempt's child; -1 for --connect
-    int frameFd = -1; ///< the attempt's frame stream (read end)
+    pid_t pid = -1;   ///< the attempt's child
+    int frameFd = -1; ///< the child's stdout: its frame stream
     int errFd = -1;   ///< the child's stderr (read end)
     FrameReader frames;
     std::string outputTail; ///< the child's stderr (bounded tail)
-    /** Why the attempt failed on the wire: a malformed stream, an
-     *  error envelope, a refused connection ("" = no such failure). */
+    /** Why the attempt failed on the wire: a malformed stream or an
+     *  error envelope ("" = no such failure). */
     std::string failure;
     bool haveResult = false;
     std::string artifact; ///< the result envelope's BENCH_*.json text
-    std::string endpoint; ///< --connect: the attempt's daemon
     bool haveProgress = false;
     size_t progressLines = 0;
     SweepProgress progress;
     Clock::time_point start;
     Clock::time_point exitTime; ///< when the child was reaped
     bool running = false;
-    bool exited = false; ///< child reaped (an attempt without one: true)
+    bool exited = false; ///< child reaped
     bool timedOut = false;
     bool aborted = false; ///< driver gave up on this shard (interrupt,
                           ///< poll failure): never counts as ok
-    int status = 0; ///< raw waitpid status of the child (0 without one)
+    int status = 0; ///< raw waitpid status of the child
     double seconds = 0.0;
 
     bool
@@ -713,61 +678,10 @@ spawnChild(const DriverOptions &opts, ShardSlot &s, std::string *err)
     return true;
 }
 
-/** Real healthz probe of one endpoint: connect, send a healthz frame,
- *  and extract queue_depth from the reply. Bounded by a short timeout
- *  so a wedged daemon costs the scheduler ~2s, never a full attempt;
- *  any failure just reports the endpoint as unprobeable (the picker
- *  then treats it as infinitely busy). */
-bool
-probeEndpointQueueDepth(const std::string &endpoint, uint64_t *depth)
-{
-    constexpr double kHealthzTimeoutSeconds = 2.0;
-    std::string body, err;
-    return fetchHealthz(endpoint, kHealthzTimeoutSeconds, &body, &err) &&
-           parseHealthzQueueDepth(body, depth);
-}
-
-/** Open --connect attempt @p s: pick the least-loaded daemon, connect,
- *  and send the shard's run frame. A refused connection fails the
- *  attempt, which is retried like a crashed child. */
-void
-dialShard(const DriverOptions &opts, const SweepRequest &base,
-          ShardSlot &s)
-{
-    // With one endpoint there is nothing to choose, so skip the probe
-    // round-trip. Ties and failed probes fall back to the rotation
-    // (index + attempt), so a dead daemon costs its shards one attempt
-    // each.
-    const size_t rotation = s.index + s.attempts - 1;
-    const size_t slot =
-        opts.connectHosts.size() == 1
-            ? 0
-            : pickConnectEndpoint(opts.connectHosts, rotation,
-                                  probeEndpointQueueDepth);
-    s.endpoint = opts.connectHosts[slot];
-    SweepRequest req = base;
-    req.run.shard.index = s.index;
-    req.run.shard.count = opts.shards;
-    std::string err;
-    const int fd = connectToService(s.endpoint, &err);
-    if (fd < 0) {
-        s.failure = err;
-        return;
-    }
-    if (!writeFrame(fd, makeRunFrame(req), &err)) {
-        ::close(fd);
-        s.failure = s.endpoint + ": " + err;
-        return;
-    }
-    setNonblocking(fd);
-    s.frameFd = fd;
-}
-
 /** Start the next attempt of shard @p s. False (with @p err) only when
  *  a child cannot be launched at all. */
 bool
-startAttempt(const DriverOptions &opts, const SweepRequest &base,
-             ShardSlot &s, std::string *err)
+startAttempt(const DriverOptions &opts, ShardSlot &s, std::string *err)
 {
     ++s.attempts;
     s.pid = -1;
@@ -785,19 +699,13 @@ startAttempt(const DriverOptions &opts, const SweepRequest &base,
     s.timedOut = false;
     s.status = 0;
     s.seconds = 0.0;
-    if (!opts.connectHosts.empty()) {
-        s.exited = true; // no child to reap
-        dialShard(opts, base, s);
-        s.running = true;
-        return true;
-    }
     s.running = spawnChild(opts, s, err);
     return s.running;
 }
 
 /** Read @p s's frame stream and act on every complete envelope. A
  *  malformed stream or an error envelope fails the attempt; EOF ends
- *  the stream, and so does a --connect result (the daemon is done). */
+ *  the stream. */
 void
 readFrames(ShardSlot &s, bool *progressed)
 {
@@ -824,16 +732,15 @@ readFrames(ShardSlot &s, bool *progressed)
         } else if (f.type == ServerFrame::Type::Result) {
             s.artifact = std::move(f.artifact);
             s.haveResult = true;
-        } else if (f.type == ServerFrame::Type::Error) {
+        } else {
             failAttempt(s, "shard error (code " + std::to_string(f.code) +
                                "): " + f.message);
             return;
         }
-        // A healthz envelope mid-run would be a daemon bug; skip it.
     }
     if (!open && s.frames.pending() > 0)
         failAttempt(s, "frame stream ended mid-frame");
-    else if (!open || (s.pid < 0 && s.haveResult))
+    else if (!open)
         closeFd(s.frameFd);
 }
 
@@ -862,26 +769,19 @@ renderProgress(const std::vector<ShardSlot> &shards)
         done += s.progress.done;
         total += s.progress.total;
         char buf[192];
-        int len =
+        const int len =
             std::snprintf(buf, sizeof(buf), "  shard%u %zu/%zu eta %.0fs",
                           s.index, s.progress.done, s.progress.total,
                           s.progress.etaSeconds);
         // Live fleet observability (when the shard's harness measures
         // it): running host throughput plus per-job host-latency
-        // percentiles, the numbers a served fleet would alert on.
+        // percentiles.
         if (len > 0 && size_t(len) < sizeof(buf) &&
             (s.progress.kips > 0.0 || s.progress.hostP99 > 0.0))
-            len += std::snprintf(buf + len, sizeof(buf) - size_t(len),
-                                 " %.0fkips p50/p95/p99 %.3f/%.3f/%.3fs",
-                                 s.progress.kips, s.progress.hostP50,
-                                 s.progress.hostP95, s.progress.hostP99);
-        // Daemon-backed shards also report their service context.
-        if (len > 0 && size_t(len) < sizeof(buf) &&
-            (s.progress.queueDepth || s.progress.sessions))
             std::snprintf(buf + len, sizeof(buf) - size_t(len),
-                          " q%llu sess%llu",
-                          (unsigned long long)s.progress.queueDepth,
-                          (unsigned long long)s.progress.sessions);
+                          " %.0fkips p50/p95/p99 %.3f/%.3f/%.3fs",
+                          s.progress.kips, s.progress.hostP50,
+                          s.progress.hostP95, s.progress.hostP99);
         per += buf;
     }
     if (any)
@@ -928,33 +828,6 @@ printOutputTail(unsigned index, const std::string &tail)
     std::fprintf(stderr, "--- end shard %u output ---\n", index);
 }
 
-/** The shared part of every --connect shard's SweepRequest. */
-SweepRequest
-connectRequest(const DriverOptions &opts)
-{
-    // The bench's `-- args` parse exactly as an ephemeral shard would
-    // parse them (same flags, same CONOPT_* environment, same exit-2
-    // contract), so a daemon-backed run describes the same work.
-    const HarnessOptions hopts = HarnessOptions::parseArgs(opts.benchArgs);
-    SweepRequest base;
-    base.bench = opts.benchName;
-    base.run = hopts.run;
-    // Capture this client's environment into the wire request: the
-    // daemon must reproduce the client's run, never its own
-    // environment.
-    if (base.run.scale == 0)
-        base.run.scale = envScale();
-    if (base.run.threads == 0)
-        base.run.threads = envThreads();
-    // The daemon never touches client paths; the artifact comes back
-    // as bytes and the gate runs client-side after the merge.
-    base.run.artifactDir.clear();
-    base.run.baselinePath.clear();
-    base.run.resultCacheDir.clear();
-    base.run.emitArtifact = true;
-    return base;
-}
-
 void mergeAndGate(const DriverOptions &opts, const std::string &sdir,
                   DriverOutcome *outp);
 
@@ -978,11 +851,8 @@ runSweepDriver(const DriverOptions &optsIn)
     }
 
     // Local direct-exec mode fails fast on a missing binary; launcher
-    // and ssh commands can only be validated by running them, and in
-    // --connect mode the positional argument is a registered bench
-    // name the daemon resolves, not a local binary.
-    if (opts.connectHosts.empty() && opts.launcher.empty() &&
-        opts.sshHosts.empty()) {
+    // and ssh commands can only be validated by running them.
+    if (opts.launcher.empty() && opts.sshHosts.empty()) {
         const std::string resolved = resolveBenchPath(opts.benchPath);
         std::error_code ec;
         if (resolved.find('/') != std::string::npos &&
@@ -1015,11 +885,6 @@ runSweepDriver(const DriverOptions &optsIn)
         return out;
     }
 
-    // --connect shards each send one SweepRequest; its shared part is
-    // built once, from the client's arguments and environment.
-    const SweepRequest base = opts.connectHosts.empty()
-                                  ? SweepRequest{}
-                                  : connectRequest(opts);
     const unsigned maxAttempts = opts.retries + 1;
     // From here on the driver owns shard attempts: catch SIGINT /
     // SIGTERM so an interrupted run kills and reaps its fleet instead
@@ -1029,7 +894,7 @@ runSweepDriver(const DriverOptions &optsIn)
     for (unsigned i = 0; i < opts.shards; ++i) {
         shards[i].index = i;
         std::string serr;
-        if (!startAttempt(opts, base, shards[i], &serr)) {
+        if (!startAttempt(opts, shards[i], &serr)) {
             killRemaining(shards);
             out.error = "cannot launch shard " + std::to_string(i) + ": " +
                         serr;
@@ -1134,10 +999,8 @@ runSweepDriver(const DriverOptions &optsIn)
             if (s.okNow()) {
                 std::fprintf(stderr,
                              "[conopt_sweep] shard %u/%u: ok in %.1fs "
-                             "(attempt %u%s%s)\n",
-                             s.index, opts.shards, s.seconds, s.attempts,
-                             s.endpoint.empty() ? "" : ", ",
-                             s.endpoint.c_str());
+                             "(attempt %u)\n",
+                             s.index, opts.shards, s.seconds, s.attempts);
             } else if (s.attempts < maxAttempts) {
                 std::fprintf(stderr,
                              "[conopt_sweep] shard %u/%u attempt %u failed "
@@ -1147,7 +1010,7 @@ runSweepDriver(const DriverOptions &optsIn)
                              maxAttempts - s.attempts,
                              maxAttempts - s.attempts == 1 ? "" : "s");
                 std::string serr;
-                if (startAttempt(opts, base, s, &serr))
+                if (startAttempt(opts, s, &serr))
                     ++live;
                 else
                     s.failure = "cannot relaunch: " + serr;
@@ -1176,10 +1039,9 @@ runSweepDriver(const DriverOptions &optsIn)
         so.attempts = s.attempts;
         so.ok = s.okNow();
         so.timedOut = s.timedOut;
-        so.exitStatus = !opts.connectHosts.empty() ? (so.ok ? 0 : 2)
-                        : WIFEXITED(s.status)      ? WEXITSTATUS(s.status)
-                        : WIFSIGNALED(s.status)    ? -WTERMSIG(s.status)
-                                                   : -1;
+        so.exitStatus = WIFEXITED(s.status)   ? WEXITSTATUS(s.status)
+                        : WIFSIGNALED(s.status) ? -WTERMSIG(s.status)
+                                                : -1;
         so.seconds = s.seconds;
         so.outputTail = s.outputTail;
         if (!s.failure.empty())
@@ -1225,59 +1087,6 @@ runSweepDriver(const DriverOptions &optsIn)
     }
     mergeAndGate(opts, sdir, &out);
     return out;
-}
-
-// --------------------------------------------------------------------------
-// Connect-mode scheduling (--connect)
-// --------------------------------------------------------------------------
-
-bool
-parseHealthzQueueDepth(const std::string &json, uint64_t *depth)
-{
-    static constexpr char key[] = "\"queue_depth\":";
-    const size_t pos = json.find(key);
-    if (pos == std::string::npos)
-        return false;
-    size_t i = pos + sizeof(key) - 1;
-    while (i < json.size() &&
-           std::isspace(static_cast<unsigned char>(json[i])))
-        ++i;
-    if (i >= json.size() ||
-        !std::isdigit(static_cast<unsigned char>(json[i])))
-        return false;
-    uint64_t v = 0;
-    for (; i < json.size() &&
-           std::isdigit(static_cast<unsigned char>(json[i]));
-         ++i)
-        v = v * 10 + uint64_t(json[i] - '0');
-    *depth = v;
-    return true;
-}
-
-size_t
-pickConnectEndpoint(const std::vector<std::string> &endpoints,
-                    size_t rotation, const HealthzProbeFn &probe)
-{
-    const size_t n = endpoints.size();
-    size_t best = rotation % n;
-    uint64_t bestDepth = UINT64_MAX;
-    bool anyProbed = false;
-    // Rotation-order walk: the first endpoint probed is the one blind
-    // round-robin would have picked, and only a STRICTLY smaller depth
-    // displaces it, so equal-depth fleets and all-probe-failure both
-    // reproduce the historical schedule exactly.
-    for (size_t i = 0; i < n; ++i) {
-        const size_t idx = (rotation + i) % n;
-        uint64_t d = 0;
-        if (!probe(endpoints[idx], &d))
-            continue;
-        if (!anyProbed || d < bestDepth) {
-            anyProbed = true;
-            bestDepth = d;
-            best = idx;
-        }
-    }
-    return best;
 }
 
 namespace {
@@ -1447,11 +1256,6 @@ constexpr const char *kUsage =
     "                          (bench and cache paths assume a shared\n"
     "                          filesystem; with --launcher, only\n"
     "                          supplies {host})\n"
-    "  --connect A1,A2,...     send shards to standing conopt_served\n"
-    "                          daemons (host:port or unix:PATH) instead\n"
-    "                          of spawning processes; <bench> is then a\n"
-    "                          registered bench name (see README\n"
-    "                          \"Standing fleet\")\n"
     "  --no-progress           do not stream per-shard progress/ETA\n"
     "exit status: 0 merged artifact ok, 1 baseline drift, 2 error\n";
 

@@ -7,13 +7,13 @@
  *
  *   conopt_sweep --shards 4 --baseline bench/baselines fig6_speedup
  *
- * Every shard attempt is one stream of the frame protocol in
- * src/sim/service.hh, whatever runs it: a forked bench's stdout (the
- * bench runs with `--wire`), a `--launcher` or ssh wrapper's stdout,
- * or a `--connect` socket to a conopt_served daemon. One poll loop
- * reads them all — progress envelopes feed one aggregate ETA line, and
- * the result envelope carries the shard's artifact bytes — with one
- * per-attempt timeout, one bounded retry, and one interrupt policy.
+ * Every shard attempt is a child process whose stdout carries the
+ * frame protocol of src/sim/wire.hh: a forked bench (run with
+ * `--wire`), or a `--launcher` or ssh wrapper around one. One poll
+ * loop reads them all — progress envelopes feed one aggregate ETA
+ * line, and the result envelope carries the shard's artifact bytes —
+ * with one per-attempt timeout, one bounded retry, and one interrupt
+ * policy.
  * The driver writes the received artifacts to `<name>.shards/`, merges
  * them, recomputes the deferred figure geomeans, and gates the merged
  * artifact against a baseline. Exit codes are conopt_bench_check-
@@ -25,7 +25,6 @@
  * Pieces:
  *   - progress line protocol: formatProgressLine/parseProgressLine —
  *     the CONOPT-PROGRESS v1 payload of every progress envelope
- *   - pickConnectEndpoint: healthz-based endpoint choice for --connect
  *   - LauncherVars/expandLauncher + shellQuote: the `--launcher`
  *     command-template mechanism ({i}, {n}, {cmd}, {host}) that wraps
  *     shard commands for srun/env-setup/ssh-style launchers; a
@@ -43,8 +42,6 @@
 #ifndef CONOPT_SIM_DRIVER_HH
 #define CONOPT_SIM_DRIVER_HH
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -82,35 +79,6 @@ std::string formatProgressLine(const SweepProgress &p);
  *  fields, or a missing label. Unknown numeric keys are ignored so
  *  minor protocol additions stay readable by older drivers. */
 bool parseProgressLine(const std::string &line, SweepProgress *out);
-
-// --------------------------------------------------------------------------
-// Connect-mode scheduling (--connect)
-// --------------------------------------------------------------------------
-
-/** Extract queue_depth from a conopt_served healthz JSON body. True
- *  with *depth filled when a `"queue_depth":<digits>` member is
- *  present; false (depth untouched) otherwise. A targeted scan, not a
- *  JSON parser: the daemon emits the healthz object itself, so the key
- *  never appears inside a string value. */
-bool parseHealthzQueueDepth(const std::string &json, uint64_t *depth);
-
-/** One healthz probe of @p endpoint ("host:port"). True with *depth
- *  filled on success; false when the daemon is unreachable or the
- *  reply is malformed. Injected into pickConnectEndpoint so the
- *  scheduling policy is testable without sockets. */
-using HealthzProbeFn =
-    std::function<bool(const std::string &endpoint, uint64_t *depth)>;
-
-/** Pick the least-loaded endpoint for the next connect attempt: probe
- *  every endpoint starting at @p rotation (so ties and total probe
- *  failure reproduce the historical rotating round-robin exactly), and
- *  return the index of the strictly smallest queue depth in rotation
- *  order. Endpoints whose probe fails are treated as infinitely busy;
- *  when every probe fails the rotation slot itself is returned, which
- *  is the old blind behavior and lets the attempt surface the real
- *  connection error. @p endpoints must be non-empty. */
-size_t pickConnectEndpoint(const std::vector<std::string> &endpoints,
-                           size_t rotation, const HealthzProbeFn &probe);
 
 // --------------------------------------------------------------------------
 // Launcher templates
@@ -156,8 +124,7 @@ struct DriverOptions
      *  first),
      *  run.resultCacheDir (forwarded to every shard when set),
      *  run.baselinePath (file or directory; "" = no gate), and
-     *  run.tolerance (0 = exact). In --connect mode the rest of the
-     *  RunOptions travels to the daemons as the SweepRequest body. */
+     *  run.tolerance (0 = exact). */
     RunOptions run;
     std::string geomeanBase;     ///< non-empty: recompute merged figure
                                  ///< geomeans over this base config
@@ -176,16 +143,6 @@ struct DriverOptions
      *  the remote process — bound remote runtimes remotely too, e.g.
      *  `--launcher 'ssh {host} timeout N {cmd}' --ssh h1,h2`. */
     std::vector<std::string> sshHosts;
-    /** `--connect host:port[,host:port...]` / `--connect unix:PATH`:
-     *  instead of spawning shard processes, send each shard as a
-     *  SweepRequest to a standing conopt_served fleet (least-loaded
-     *  endpoint by healthz, rotating on retry). The socket carries the
-     *  same frames a forked shard's stdout does, so the merge, geomean
-     *  recompute, and baseline gate are byte-identical to the
-     *  ephemeral path. The positional bench argument is then a
-     *  *registered bench name* (src/sim/bench_registry.hh), not a
-     *  binary path. Mutually exclusive with --launcher/--ssh. */
-    std::vector<std::string> connectHosts;
     bool streamProgress = true;  ///< render the aggregate ETA line
 };
 
@@ -221,17 +178,16 @@ struct ShardOutcome
 {
     unsigned index = 0;
     unsigned attempts = 0; ///< launches performed (1 = no retry needed)
-    bool ok = false;       ///< last attempt sent a result and ended
-                           ///< cleanly (a child: exit 0) in time
+    bool ok = false;       ///< last attempt sent a result and exited 0
+                           ///< in time
     bool timedOut = false; ///< last attempt was killed at the deadline
     /** Last attempt's status: the exit code when >= 0, or -SIGNAL when
-     *  the process died to a signal (a killed shard is -9). A
-     *  --connect shard has no process: 0 when ok, else 2. */
+     *  the process died to a signal (a killed shard is -9). */
     int exitStatus = 0;
     double seconds = 0.0;    ///< last attempt's wall-clock duration
     /** The last attempt's captured stderr (bounded tail), then the
-     *  stream failure (malformed frame, error envelope, connection
-     *  error) when there was one. */
+     *  stream failure (malformed frame, error envelope) when there
+     *  was one. */
     std::string outputTail;
     /** Well-formed CONOPT-PROGRESS lines received across all attempts
      *  (0 when the bench runs no SweepRunner sweep). */

@@ -13,7 +13,7 @@
 #include "src/pipeline/stats_aggregate.hh"
 #include "src/sim/driver.hh"
 #include "src/sim/fingerprint.hh"
-#include "src/sim/service.hh"
+#include "src/sim/wire.hh"
 
 namespace conopt::sim {
 
@@ -46,17 +46,9 @@ printHostPercentiles(const SweepResult &res)
 HarnessOptions
 HarnessOptions::parse(int argc, char **argv, bool lenientArgs)
 {
-    std::vector<std::string> args;
-    args.reserve(argc > 1 ? size_t(argc - 1) : 0);
-    for (int i = 1; i < argc; ++i)
-        args.push_back(argv[i]);
-    return parseArgs(args, lenientArgs);
-}
-
-HarnessOptions
-HarnessOptions::parseArgs(const std::vector<std::string> &args,
-                          bool lenientArgs)
-{
+    // argv[0] is the program name, never a flag.
+    const std::vector<std::string> args(argc > 0 ? argv + 1 : argv,
+                                        argv + argc);
     HarnessOptions o;
     if (const char *d = std::getenv("CONOPT_ARTIFACT_DIR"); d && *d)
         o.run.artifactDir = d;
@@ -310,11 +302,6 @@ artifactFromSweep(const SweepResult &res, const RunOptions &run,
                   const std::vector<std::string> &configs)
 {
     auto art = BenchArtifact::fromSweep(res);
-    // fromSweep() records the *environment's* scale/threads; a wire
-    // request carries the client's values explicitly, so the request
-    // wins whenever it is specified.
-    art.scale = run.effectiveScale();
-    art.threads = run.effectiveThreads();
     if (run.perf)
         art.addPerf(res);
     // No-op unless --ipc-sample-interval armed sampling: gated runs

@@ -5,20 +5,19 @@
  * (src/sim/request.hh), and turn finished sweeps into persisted,
  * baseline-gated BENCH_*.json artifacts. Lives in the src/sim library
  * (rather than bench/bench_common.hh, which now merely aliases it) so
- * tools and the standing daemon link the exact same parser and
- * artifact pipeline as the bench binaries without including bench
- * headers.
+ * tools and tests link the exact same parser and artifact pipeline as
+ * the bench binaries without including bench headers.
  *
  * The environment variables and flags, their semantics, and the exit-2
  * error contract are documented in bench/bench_common.hh (the
  * user-facing header) and README.md.
  *
  * `--wire` turns a bench into a shard of conopt_sweep: its stdout
- * becomes a stream of the one frame protocol (src/sim/service.hh) —
+ * becomes a stream of the one frame protocol (src/sim/wire.hh) —
  * progress envelopes, then the artifact in a result envelope — and
  * fd 1 points at stderr, so a bench's own printing never corrupts a
- * frame. The same stream reaches the driver from a forked shard, a
- * launcher or ssh wrapper, or (sent by the daemon) a --connect socket.
+ * frame. The same stream reaches the driver from a forked shard or a
+ * launcher or ssh wrapper.
  */
 
 #ifndef CONOPT_SIM_HARNESS_HH
@@ -48,9 +47,9 @@ void printSweepProgress(const SweepProgress &p);
  */
 void printHostPercentiles(const SweepResult &res);
 
-/** Harness options shared by every bench binary: the serializable run
- *  description plus the process-local bits (progress sinks, the live
- *  result-cache handle) that never go on the wire. */
+/** Harness options shared by every bench binary: the run description
+ *  plus the process-local bits (progress sinks, the wire channel, the
+ *  live result-cache handle). */
 struct HarnessOptions
 {
     RunOptions run;
@@ -73,13 +72,6 @@ struct HarnessOptions
      *  duplicate work and clobber the unsharded artifact. */
     static HarnessOptions parse(int argc, char **argv,
                                 bool lenientArgs = false);
-
-    /** parse() over an already-tokenized argument list (no argv[0]).
-     *  `conopt_sweep --connect` folds the bench's `-- args` through
-     *  this so a daemon-backed run interprets harness flags exactly
-     *  like an ephemeral shard would. Same exit-2 contract. */
-    static HarnessOptions parseArgs(const std::vector<std::string> &args,
-                                    bool lenientArgs = false);
 
     /** The composed progress sink: the human stderr printer (with
      *  --progress) and/or one progress envelope per finished job on
@@ -121,9 +113,7 @@ ArtifactJob configJob(const char *name,
  * (@p configs over @p baseConfig) and the distribution block computed
  * only for unsharded runs — whole-figure aggregates cannot be computed
  * from one shard's subset, so the merge contract defers them to the
- * post-merge step. Scale/threads metadata come from @p run
- * (effectiveScale/effectiveThreads), so a daemon serving a wire
- * request reproduces the client's metadata, not its own environment.
+ * post-merge step.
  */
 BenchArtifact artifactFromSweep(const SweepResult &res,
                                 const RunOptions &run,

@@ -3,11 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "src/sim/baseline.hh"
-#include "src/sim/fingerprint.hh"
 
 namespace conopt::sim {
 
@@ -113,219 +109,6 @@ parseDoubleToken(const std::string &s, double *out)
         return false;
     *out = v;
     return true;
-}
-
-std::string
-fmtG17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (uint8_t(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-                out += esc;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-// --------------------------------------------------------------------------
-// SweepRequest wire encoding
-// --------------------------------------------------------------------------
-
-std::string
-SweepRequest::encodeJson() const
-{
-    // Canonical: fixed field order, every field always present, %.17g
-    // doubles. Equal requests must encode to equal bytes (the
-    // fingerprint and the wire tests both rely on it).
-    std::string s;
-    s.reserve(320);
-    s += "{\"schema\":\"";
-    s += kSchema;
-    s += "\",\"version\":";
-    s += std::to_string(kVersion);
-    s += ",\"bench\":";
-    s += jsonQuote(bench);
-    s += ",\"priority\":";
-    s += std::to_string(priority);
-    s += ",\"run\":{\"shard_index\":";
-    s += std::to_string(run.shard.index);
-    s += ",\"shard_count\":";
-    s += std::to_string(run.shard.count);
-    s += ",\"scale\":";
-    s += std::to_string(run.scale);
-    s += ",\"threads\":";
-    s += std::to_string(run.threads);
-    s += ",\"ipc_sample_interval\":";
-    s += std::to_string(run.ipcSampleInterval);
-    s += ",\"perf\":";
-    s += run.perf ? "true" : "false";
-    s += ",\"emit_artifact\":";
-    s += run.emitArtifact ? "true" : "false";
-    s += ",\"tolerance\":";
-    s += fmtG17(run.tolerance);
-    s += ",\"artifact_dir\":";
-    s += jsonQuote(run.artifactDir);
-    s += ",\"baseline_path\":";
-    s += jsonQuote(run.baselinePath);
-    s += ",\"result_cache_dir\":";
-    s += jsonQuote(run.resultCacheDir);
-    s += "}}";
-    return s;
-}
-
-namespace {
-
-/** Object string member into @p out; absent keeps the default, present
- *  non-string is an error. */
-bool
-jsonFieldString(const JsonValue &obj, const char *key, std::string *out,
-                std::string *err)
-{
-    const JsonValue *v = obj.get(key);
-    if (!v)
-        return true;
-    if (v->kind() != JsonValue::Kind::String) {
-        *err = std::string("field \"") + key + "\" is not a string";
-        return false;
-    }
-    *out = v->asString();
-    return true;
-}
-
-} // namespace
-
-bool
-SweepRequest::decodeValue(const JsonValue &doc, SweepRequest *out,
-                          std::string *err)
-{
-    if (!doc.isObject()) {
-        *err = "request is not a JSON object";
-        return false;
-    }
-    const JsonValue *schema = doc.get("schema");
-    if (!schema || schema->asString() != kSchema) {
-        *err = std::string("not a ") + kSchema + " document";
-        return false;
-    }
-    unsigned version = 0;
-    if (!jsonFieldU32(doc, "version", &version, err))
-        return false;
-    if (version != kVersion) {
-        *err = "unsupported request version " + std::to_string(version);
-        return false;
-    }
-    SweepRequest req;
-    if (!jsonFieldString(doc, "bench", &req.bench, err))
-        return false;
-    if (req.bench.empty()) {
-        *err = "request names no bench";
-        return false;
-    }
-    unsigned priority = 0;
-    if (!jsonFieldU32(doc, "priority", &priority, err))
-        return false;
-    req.priority = priority;
-    const JsonValue *runObj = doc.get("run");
-    if (!runObj || !runObj->isObject()) {
-        *err = "request has no \"run\" object";
-        return false;
-    }
-    RunOptions &run = req.run;
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
-    if (!jsonFieldU32(*runObj, "shard_index", &shardIndex, err) ||
-        !jsonFieldU32(*runObj, "shard_count", &shardCount, err))
-        return false;
-    if (shardCount == 0 || shardCount > kMaxEnvThreads ||
-        shardIndex >= shardCount) {
-        *err = "invalid shard " + std::to_string(shardIndex) + "/" +
-               std::to_string(shardCount);
-        return false;
-    }
-    run.shard = {shardIndex, shardCount};
-    if (!jsonFieldU32(*runObj, "scale", &run.scale, err) ||
-        !jsonFieldU32(*runObj, "threads", &run.threads, err) ||
-        !jsonFieldU64(*runObj, "ipc_sample_interval",
-                      &run.ipcSampleInterval, err) ||
-        !jsonFieldDouble(*runObj, "tolerance", &run.tolerance, err))
-        return false;
-    if (run.scale > kMaxEnvScale)
-        run.scale = kMaxEnvScale;
-    if (run.threads > kMaxEnvThreads)
-        run.threads = kMaxEnvThreads;
-    if (!std::isfinite(run.tolerance) || run.tolerance < 0.0) {
-        *err = "invalid tolerance (want a finite non-negative number)";
-        return false;
-    }
-    run.perf = jsonFieldBool(*runObj, "perf");
-    // Canonical encodings always carry emit_artifact; tolerate its
-    // absence by keeping the struct default (true), since
-    // jsonFieldBool() reads an absent key as false.
-    if (runObj->get("emit_artifact"))
-        run.emitArtifact = jsonFieldBool(*runObj, "emit_artifact");
-    if (!jsonFieldString(*runObj, "artifact_dir", &run.artifactDir, err) ||
-        !jsonFieldString(*runObj, "baseline_path", &run.baselinePath,
-                         err) ||
-        !jsonFieldString(*runObj, "result_cache_dir", &run.resultCacheDir,
-                         err))
-        return false;
-    *out = std::move(req);
-    return true;
-}
-
-bool
-SweepRequest::decode(const std::string &json, SweepRequest *out,
-                     std::string *err)
-{
-    JsonValue doc;
-    if (!JsonValue::parse(json, &doc, err))
-        return false;
-    return decodeValue(doc, out, err);
-}
-
-std::string
-SweepRequest::fingerprint() const
-{
-    Fnv f;
-    f.mixStr(kSchema);
-    f.mix(kVersion);
-    f.mixStr(bench);
-    f.mix(priority);
-    f.mix(run.shard.index);
-    f.mix(run.shard.count);
-    f.mix(run.scale);
-    f.mix(run.threads);
-    f.mix(run.ipcSampleInterval);
-    f.mix(run.perf ? 1 : 0);
-    f.mix(run.emitArtifact ? 1 : 0);
-    f.mixStr(fmtG17(run.tolerance));
-    f.mixStr(run.artifactDir);
-    f.mixStr(run.baselinePath);
-    f.mixStr(run.resultCacheDir);
-    return hex64(f.final());
 }
 
 } // namespace conopt::sim

@@ -1,33 +1,19 @@
 /**
  * @file
- * The canonical description of one sweep run: `RunOptions` (every knob
- * shared by the harness CLI, the sweep engine, the shard driver, and
- * the standing service) and `SweepRequest` (a named bench plus
- * RunOptions plus a queue priority), with a lossless line-JSON wire
- * encoding. This is the single schema the whole platform round-trips
- * through:
+ * The canonical description of one sweep run: `RunOptions`, every knob
+ * shared by the harness CLI, the sweep engine, and the shard driver:
  *
  *   - bench binaries:  HarnessOptions (src/sim/harness.hh) parses the
  *                      CONOPT_* environment and harness flags into a
  *                      RunOptions
  *   - sweep engine:    SweepOptions (src/sim/sweep.hh) embeds a
- *                      RunOptions for shard/threads/scale/ipc-sampling
+ *                      RunOptions for shard/threads/ipc-sampling
  *   - shard driver:    DriverOptions (src/sim/driver.hh) embeds a
  *                      RunOptions for artifact/baseline/cache/tolerance
- *   - wire protocol:   conopt_served and `conopt_sweep --connect`
- *                      exchange encodeJson()'d SweepRequests
- *                      (src/sim/service.hh)
- *
- * Encoding contract: encodeJson() emits a canonical single-line JSON
- * object — fixed field order, `%.17g` doubles (lossless for IEEE
- * binary64) — so equal requests encode to equal bytes and
- * fingerprint() is stable across processes. decode() is strict: it
- * rejects unknown schema/version, malformed fields, and out-of-range
- * shard specs with a diagnostic instead of guessing.
  *
  * The shard/scale/thread environment parsing (CONOPT_SCALE,
- * CONOPT_THREADS, CONOPT_SHARD) lives here too, as the one copy shared
- * by the harness, the driver, and the service.
+ * CONOPT_THREADS, CONOPT_SHARD) and the strict token parsers live
+ * here too, as the one copy shared by the harness and the driver.
  */
 
 #ifndef CONOPT_SIM_REQUEST_HH
@@ -37,8 +23,6 @@
 #include <string>
 
 namespace conopt::sim {
-
-class JsonValue; // src/sim/baseline.hh
 
 /** Upper bounds on the CONOPT_SCALE / CONOPT_THREADS environment
  *  variables; larger values clamp rather than overflow the scale
@@ -79,37 +63,20 @@ bool parseShard(const std::string &s, ShardSpec *out);
 
 /** Strict uint64 token: all-digits, no sign, no trailing characters,
  *  no overflow. The shared primitive behind the progress protocol and
- *  the request decoder. */
+ *  the frame decoder. */
 bool parseU64Token(const std::string &s, uint64_t *out);
 
 /** Strict finite-double token (strtod grammar, whole token, finite). */
 bool parseDoubleToken(const std::string &s, double *out);
 
-/** @p v formatted with %.17g — enough digits to round-trip any IEEE
- *  binary64 value exactly. */
-std::string fmtG17(double v);
-
-/** @p s as a quoted JSON string literal (escapes ", \, and control
- *  bytes). */
-std::string jsonQuote(const std::string &s);
-
 /**
- * Every run-shaping knob of one sweep execution, in one serializable
- * struct. Scale and threads are *absolute* here (0 = "ask the
- * environment via envScale()/envThreads()"); a wire client captures
- * its environment into these fields so the daemon reproduces the
- * client's run exactly, regardless of the daemon's own environment.
- *
- * The three path fields describe the *client* side of a run (where
- * artifacts land, what baseline gates them, where the persistent
- * result cache lives). The daemon never touches the client's
- * filesystem: it serves artifact bytes back over the wire and keeps
- * its own result cache, so a served request clears these fields.
+ * Every run-shaping knob of one sweep execution, in one struct. The
+ * workload scale is not among them: every reader takes it from the
+ * environment (envScale()).
  */
 struct RunOptions
 {
     sim::ShardSpec shard;     ///< {0,1} = whole sweep
-    unsigned scale = 0;       ///< workload scale multiplier; 0 = env
     unsigned threads = 0;     ///< sweep worker threads; 0 = env
     /** Per-interval IPC sampling stride in retired instructions;
      *  0 = off (the default — gated artifacts stay byte-identical). */
@@ -121,51 +88,12 @@ struct RunOptions
     std::string baselinePath; ///< file or directory; empty = no gate
     std::string resultCacheDir; ///< persistent result cache; empty = none
 
-    /** The effective scale multiplier: the explicit field, or the
-     *  CONOPT_SCALE environment when the field is 0. */
-    unsigned effectiveScale() const { return scale ? scale : envScale(); }
     /** The effective worker-thread request (still 0 when neither the
      *  field nor CONOPT_THREADS is set: "use hardware concurrency"). */
     unsigned effectiveThreads() const
     {
         return threads ? threads : envThreads();
     }
-};
-
-/**
- * One queued unit of work for the sweep service: which registered
- * bench to run (src/sim/bench_registry.hh), how to run it, and how
- * urgently. This is the wire payload of `conopt_sweep --connect` and
- * the only definition of the sweep-run schema.
- */
-struct SweepRequest
-{
-    static constexpr const char *kSchema = "conopt-sweep-request";
-    static constexpr uint32_t kVersion = 1;
-
-    std::string bench;    ///< registered bench name, e.g. "fig6_speedup"
-    uint32_t priority = 0; ///< higher runs first; FIFO within a level
-    RunOptions run;
-
-    /** Canonical single-line JSON: fixed field order, %.17g doubles.
-     *  Equal requests encode to equal bytes. */
-    std::string encodeJson() const;
-
-    /** Strict inverse of encodeJson(). False (with a diagnostic in
-     *  @p err) on malformed JSON, wrong schema/version, a bad shard
-     *  spec, or a non-finite/negative tolerance. */
-    static bool decode(const std::string &json, SweepRequest *out,
-                       std::string *err);
-
-    /** decode() over an already-parsed document node — the service
-     *  envelope carries the request as a JSON subobject and parses the
-     *  envelope exactly once. */
-    static bool decodeValue(const JsonValue &doc, SweepRequest *out,
-                            std::string *err);
-
-    /** FNV-1a over every field, avalanched — stable across processes
-     *  because the encoding is canonical. */
-    std::string fingerprint() const;
 };
 
 } // namespace conopt::sim

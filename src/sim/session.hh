@@ -25,7 +25,6 @@
 #ifndef CONOPT_SIM_SESSION_HH
 #define CONOPT_SIM_SESSION_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -99,20 +98,7 @@ class SimSession
     const arch::Emulator &emulator() const { return *emu_; }
     const pipeline::OooCore &core() const { return *core_; }
 
-    /**
-     * Process-lifetime count of SimSession constructions. The warm-
-     * session contract (one thread-local session per worker thread,
-     * constructed once and reused forever) becomes observable: the
-     * standing service reports this in healthz, and the zero-alloc
-     * test asserts a steady-state request constructs no new session.
-     */
-    static uint64_t constructed()
-    {
-        return constructed_.load(std::memory_order_relaxed);
-    }
-
   private:
-    static std::atomic<uint64_t> constructed_;
     ProgramPtr program_; ///< keeps the armed program alive
     std::unique_ptr<arch::Emulator> emu_;
     std::unique_ptr<pipeline::OooCore> core_;

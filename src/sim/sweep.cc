@@ -18,8 +18,8 @@
 
 namespace conopt::sim {
 
-// envScale()/envThreads()/parseShard() moved to src/sim/request.cc
-// with the canonical RunOptions/SweepRequest schema.
+// envScale()/envThreads()/parseShard() live in src/sim/request.cc
+// with the canonical RunOptions schema.
 
 namespace {
 
@@ -36,8 +36,7 @@ seedFor(const std::string &label, unsigned scale)
 }
 
 /** Resolve names/defaults so workers see a fully-specified job.
- *  @p scaleMul is the workload scale multiplier (RunOptions::
- *  effectiveScale(): an explicit request value, or CONOPT_SCALE). */
+ *  @p scaleMul is the workload scale multiplier (CONOPT_SCALE). */
 void
 normalize(SimJob &job, unsigned scaleMul)
 {
@@ -339,7 +338,7 @@ SweepRunner::run(std::vector<SimJob> jobs)
     // every shard of the same sweep agrees on labels and positions.
     {
         std::set<std::string> seen;
-        const unsigned scaleMul = opts_.run.effectiveScale();
+        const unsigned scaleMul = envScale();
         for (auto &job : jobs) {
             normalize(job, scaleMul);
             if (!seen.insert(job.label).second)

@@ -62,7 +62,7 @@ namespace conopt::sim {
 
 // kMaxEnvScale/kMaxEnvThreads, envScale(), envThreads(), ShardSpec,
 // and parseShard() live in src/sim/request.hh with the canonical
-// RunOptions/SweepRequest schema they belong to.
+// RunOptions schema they belong to.
 
 // ProgramPtr (an immutable, shareable assembled program) lives in
 // src/sim/session.hh with the session that consumes it.
@@ -201,18 +201,10 @@ struct SweepProgress
      *  until the first non-cache-hit job finishes. */
     double kips = 0.0;
     /** Nearest-rank percentiles of per-job host seconds over finished
-     *  jobs (cache hits included — a served fleet's latency counts the
-     *  cache path too). 0 until the first job finishes. */
+     *  jobs (cache hits included). 0 until the first job finishes. */
     double hostP50 = 0.0;
     double hostP95 = 0.0;
     double hostP99 = 0.0;
-    /** Service-side context for daemon-backed shards: the daemon's
-     *  request-queue depth and total SimSessions constructed when the
-     *  job finished. 0/0 for ephemeral (process-per-shard) runs — the
-     *  progress line only carries the keys when one is nonzero, so
-     *  existing v1 consumers and byte-stable logs are unaffected. */
-    uint64_t queueDepth = 0;
-    uint64_t sessions = 0;
 };
 
 /** Invoked after every finished job, serialized under an internal
@@ -267,13 +259,12 @@ struct SweepOptions
         run.threads = threads_;
     }
 
-    /** The serializable run description (src/sim/request.hh). The
+    /** The run description (src/sim/request.hh). The
      *  runner consumes run.threads (0 = CONOPT_THREADS, else hardware
      *  concurrency), run.shard (the slice of the job list this runner
      *  executes — the *full* job list is still normalized and
      *  label-checked so every shard agrees on the partition; only
      *  this shard's jobs run and only they appear in the SweepResult),
-     *  run.scale (0 = CONOPT_SCALE) as the workload scale multiplier,
      *  and run.ipcSampleInterval (one IPC sample per this many retired
      *  instructions into a bounded per-job reservoir seeded with the
      *  job's deterministic seed; 0 = off, the default, so gated runs

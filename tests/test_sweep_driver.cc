@@ -31,6 +31,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -44,6 +45,7 @@
 #include "src/sim/baseline.hh"
 #include "src/sim/driver.hh"
 #include "src/sim/sweep.hh"
+#include "src/sim/wire.hh"
 
 using namespace conopt;
 namespace fs = std::filesystem;
@@ -141,6 +143,12 @@ childMain(const std::string &mode, int argc, char **argv)
             std::fprintf(stderr, "flaky: injected transient failure\n");
             return 1;
         }
+    } else if (mode == "stray") {
+        // A well-formed frame of a type no shard sends, ahead of an
+        // otherwise normal run.
+        std::fputs(sim::encodeFrame("{\"type\":\"status\"}").c_str(),
+                   stdout);
+        std::fflush(stdout);
     } else if (mode == "linger") {
         // Leak our stdout/stderr/progress write ends to a background
         // child that outlives us: the classic fd-inheriting daemonized
@@ -304,39 +312,6 @@ TEST(ProgressLine, FormatParseRoundTripsExactly)
     EXPECT_TRUE(sim::parseProgressLine(line + "\n", &q));
 }
 
-TEST(ProgressLine, DaemonKeysRoundTripAndStayOffTheEphemeralWire)
-{
-    // Daemon-backed shards annotate the stream with their queue depth
-    // and warm-session count; an ephemeral shard (both zero) must emit
-    // byte-identical v1 lines to the pre-daemon protocol.
-    sim::SweepProgress p;
-    p.done = 2;
-    p.total = 4;
-    p.label = "gzp/opt";
-    const std::string bare = sim::formatProgressLine(p);
-    EXPECT_EQ(bare.find("queue_depth="), std::string::npos) << bare;
-    EXPECT_EQ(bare.find("sessions="), std::string::npos) << bare;
-
-    p.queueDepth = 3;
-    p.sessions = 2;
-    const std::string line = sim::formatProgressLine(p);
-    sim::SweepProgress q;
-    ASSERT_TRUE(sim::parseProgressLine(line, &q)) << line;
-    EXPECT_EQ(q.queueDepth, 3u);
-    EXPECT_EQ(q.sessions, 2u);
-    EXPECT_EQ(q.label, "gzp/opt");
-
-    // A v1 parser that predates the keys sees them as unknown
-    // key=value tokens — and unknown keys are skipped, so the new
-    // wire form stays parseable (regression: forward compatibility).
-    ASSERT_TRUE(sim::parseProgressLine(
-        "CONOPT-PROGRESS v1 done=2 total=4 queue_depth=3 sessions=2 "
-        "brand_new_key=7 label=gzp/opt",
-        &q));
-    EXPECT_EQ(q.queueDepth, 3u);
-    EXPECT_EQ(q.label, "gzp/opt");
-}
-
 TEST(ProgressLine, RejectsMalformedLines)
 {
     sim::SweepProgress q;
@@ -358,100 +333,6 @@ TEST(ProgressLine, RejectsMalformedLines)
     EXPECT_TRUE(sim::parseProgressLine(
         "CONOPT-PROGRESS v1 done=1 total=2 newfield=zzz label=x", &q));
     EXPECT_EQ(q.label, "x");
-}
-
-// ---------------------------------------------------------------------------
-// Connect-mode scheduling: healthz parsing and the least-loaded pick.
-// The probe is injected as a lambda, so these cover the policy without
-// any sockets or daemons.
-// ---------------------------------------------------------------------------
-
-TEST(ConnectScheduling, ParsesQueueDepthFromHealthzJson)
-{
-    uint64_t d = 77;
-    // A realistic conopt_served healthz body.
-    EXPECT_TRUE(sim::parseHealthzQueueDepth(
-        "{\"ok\":true,\"uptime_s\":12.5,\"requests\":4,"
-        "\"queue_depth\":3,\"benches\":[\"table1\"]}",
-        &d));
-    EXPECT_EQ(d, 3u);
-    // Whitespace after the colon and a large depth.
-    EXPECT_TRUE(sim::parseHealthzQueueDepth(
-        "{\"queue_depth\":   18446744073709551615}", &d));
-    EXPECT_EQ(d, UINT64_MAX);
-    // Missing key, or a key with garbage where digits belong: d is
-    // left alone.
-    d = 77;
-    EXPECT_FALSE(sim::parseHealthzQueueDepth("{\"ok\":true}", &d));
-    EXPECT_FALSE(
-        sim::parseHealthzQueueDepth("{\"queue_depth\":\"busy\"}", &d));
-    EXPECT_FALSE(sim::parseHealthzQueueDepth("", &d));
-    EXPECT_EQ(d, 77u);
-}
-
-TEST(ConnectScheduling, PicksStrictlySmallestQueueDepth)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    size_t probes = 0;
-    const sim::HealthzProbeFn probe = [&](const std::string &ep,
-                                          uint64_t *depth) {
-        ++probes;
-        *depth = ep == "a:1" ? 5 : ep == "b:1" ? 1 : 3;
-        return true;
-    };
-    // Least-loaded wins from any rotation; every endpoint is probed
-    // exactly once per pick.
-    for (size_t rot = 0; rot < 6; ++rot) {
-        probes = 0;
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, probe), 1u)
-            << "rotation " << rot;
-        EXPECT_EQ(probes, eps.size());
-    }
-}
-
-TEST(ConnectScheduling, RotationBreaksTiesLikeBlindRoundRobin)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    const sim::HealthzProbeFn flat = [](const std::string &,
-                                        uint64_t *depth) {
-        *depth = 2;
-        return true;
-    };
-    // An evenly loaded fleet reproduces the historical rotating
-    // round-robin schedule exactly.
-    for (size_t rot = 0; rot < 7; ++rot)
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, flat), rot % 3)
-            << "rotation " << rot;
-}
-
-TEST(ConnectScheduling, FailedProbesCountAsInfinitelyBusy)
-{
-    const std::vector<std::string> eps{"dead:1", "busy:1", "idle:1"};
-    const sim::HealthzProbeFn probe = [](const std::string &ep,
-                                         uint64_t *depth) {
-        if (ep == "dead:1")
-            return false;
-        *depth = ep == "busy:1" ? 9 : 0;
-        return true;
-    };
-    // The dead daemon never wins, even when rotation starts on it.
-    EXPECT_EQ(sim::pickConnectEndpoint(eps, 0, probe), 2u);
-    // And a reachable-but-busy daemon still beats an unreachable one.
-    const std::vector<std::string> two{"dead:1", "busy:1"};
-    EXPECT_EQ(sim::pickConnectEndpoint(two, 0, probe), 1u);
-}
-
-TEST(ConnectScheduling, AllProbesFailingFallsBackToRotationSlot)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    const sim::HealthzProbeFn dead = [](const std::string &, uint64_t *) {
-        return false;
-    };
-    // Nothing answered: behave exactly like the blind rotation so the
-    // subsequent attempt surfaces the real connection error.
-    for (size_t rot = 0; rot < 5; ++rot)
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, dead), rot % 3)
-            << "rotation " << rot;
 }
 
 // ---------------------------------------------------------------------------
@@ -613,18 +494,6 @@ TEST(ParseDriverArgs, AcceptsAFullyLoadedCommandLine)
                                      &o, &err))
         << err;
     EXPECT_EQ(o.sshHosts.size(), 2u);
-
-    // --connect: a comma-separated endpoint rotation; the bench is a
-    // registered name, not a spawned path.
-    ASSERT_TRUE(sim::parseDriverArgs(
-        {"--connect", "hostA:7070,unix:/run/conopt.sock",
-         "table1_workloads"},
-        &o, &err))
-        << err;
-    ASSERT_EQ(o.connectHosts.size(), 2u);
-    EXPECT_EQ(o.connectHosts[0], "hostA:7070");
-    EXPECT_EQ(o.connectHosts[1], "unix:/run/conopt.sock");
-    EXPECT_EQ(o.benchName, "table1_workloads");
 }
 
 TEST(ParseDriverArgs, RejectsMalformedInput)
@@ -653,12 +522,6 @@ TEST(ParseDriverArgs, RejectsMalformedInput)
         // --ssh with a template that never uses {host}: every shard
         // would silently run locally.
         {"--ssh", "h1,h2", "--launcher", "nice {cmd}", "b"},
-        {"--connect", "", "b"},                // empty endpoint list
-        {"--connect", "a:1,,b:2", "b"},        // empty endpoint
-        // --connect drives a standing fleet; spawning flags make no
-        // sense alongside it.
-        {"--connect", "a:1", "--launcher", "nice {cmd}", "b"},
-        {"--connect", "a:1", "--ssh", "h1", "b"},
         {"--bogus", "b"},                      // unknown flag
         {"bench1", "bench2"},                  // two positionals
         {"b", "--", "--wire"},                 // the driver's channel
@@ -668,6 +531,25 @@ TEST(ParseDriverArgs, RejectsMalformedInput)
             << "accepted:" << ::testing::PrintToString(args);
         EXPECT_FALSE(err.empty());
     }
+}
+
+TEST(HarnessArgs, BareProgramNameParsesToDefaults)
+{
+    // `./table1_workloads` with no flags: argv[0] is the program name,
+    // never an argument. A parser that took it for one would exit 2
+    // with "unknown argument", so run it where that exit is visible.
+    char prog[] = "table1_workloads";
+    char *bare[] = {prog, nullptr};
+    EXPECT_EXIT(
+        {
+            const bench::HarnessOptions o = bench::harnessInit(1, bare);
+            std::exit(o.wireFd == -1 && !o.run.shard.active() ? 0 : 3);
+        },
+        ::testing::ExitedWithCode(0), "");
+
+    char flag[] = "--progress";
+    char *withFlag[] = {prog, flag, nullptr};
+    EXPECT_TRUE(bench::harnessInit(2, withFlag).progress);
 }
 
 // ---------------------------------------------------------------------------
@@ -890,6 +772,11 @@ expectBrokenStreamFails(const char *mode, const char *stderrLine)
 TEST(SweepDriverRun, NonFrameBytesOnTheWireAreAHardError)
 {
     expectBrokenStreamFails("garbage", "garbage: writing non-frame bytes");
+}
+
+TEST(SweepDriverRun, UnknownEnvelopeTypeIsAHardError)
+{
+    expectBrokenStreamFails("stray", "unknown envelope type 'status'");
 }
 
 TEST(SweepDriverRun, ShardThatExitsZeroWithoutAResultIsAHardError)

@@ -438,91 +438,3 @@ TEST(Reporters, TableContainsSuiteAndValues)
     EXPECT_NE(out.find("mediabench"), std::string::npos);
     EXPECT_NE(out.find("opt"), std::string::npos);
 }
-
-// ---------------------------------------------------------------------------
-// SweepRequest: the one sweep-run schema (src/sim/request.hh).
-// ---------------------------------------------------------------------------
-
-TEST(SweepRequest, EncodeDecodeRoundTripsLosslessly)
-{
-    sim::SweepRequest req;
-    req.bench = "fig6_speedup";
-    req.priority = 3;
-    req.run.shard = {1, 4};
-    req.run.scale = 2;
-    req.run.threads = 8;
-    req.run.ipcSampleInterval = 1000000;
-    req.run.perf = true;
-    req.run.emitArtifact = false;
-    // Doubles with no exact binary representation: %.17g must carry
-    // them bit-for-bit.
-    req.run.tolerance = 0.030000000000000002;
-
-    const std::string json = req.encodeJson();
-    sim::SweepRequest back;
-    std::string err;
-    ASSERT_TRUE(sim::SweepRequest::decode(json, &back, &err)) << err;
-    EXPECT_EQ(back.bench, req.bench);
-    EXPECT_EQ(back.priority, req.priority);
-    EXPECT_EQ(back.run.shard.index, 1u);
-    EXPECT_EQ(back.run.shard.count, 4u);
-    EXPECT_EQ(back.run.scale, 2u);
-    EXPECT_EQ(back.run.threads, 8u);
-    EXPECT_EQ(back.run.ipcSampleInterval, 1000000u);
-    EXPECT_TRUE(back.run.perf);
-    EXPECT_FALSE(back.run.emitArtifact);
-    EXPECT_EQ(back.run.tolerance, req.run.tolerance) << "bit-exact";
-    // Canonical form: re-encoding reproduces the same bytes, so the
-    // fingerprint is stable across the wire.
-    EXPECT_EQ(back.encodeJson(), json);
-    EXPECT_EQ(back.fingerprint(), req.fingerprint());
-}
-
-TEST(SweepRequest, FingerprintSeparatesDistinctRequests)
-{
-    sim::SweepRequest a;
-    a.bench = "table1_workloads";
-    sim::SweepRequest b = a;
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    b.run.scale = 2;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    b = a;
-    b.run.shard = {1, 2};
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    b = a;
-    b.priority = 1;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-}
-
-TEST(SweepRequest, DecodeRejectsMalformedDocuments)
-{
-    sim::SweepRequest ok;
-    ok.bench = "table1_workloads";
-    const std::string good = ok.encodeJson();
-
-    auto rejects = [](const std::string &json, const char *why) {
-        sim::SweepRequest out;
-        std::string err;
-        EXPECT_FALSE(sim::SweepRequest::decode(json, &out, &err)) << why;
-        EXPECT_FALSE(err.empty()) << why;
-    };
-    rejects("", "empty");
-    rejects("{", "truncated JSON");
-    rejects("[1]", "not an object");
-    rejects("{\"schema\":\"conopt-sweep-request\",\"version\":1}",
-            "missing bench");
-    {
-        std::string wrongSchema = good;
-        const size_t at = wrongSchema.find("conopt-sweep-request");
-        ASSERT_NE(at, std::string::npos);
-        wrongSchema.replace(at, 20, "conopt-other-schema!");
-        rejects(wrongSchema, "wrong schema tag");
-    }
-    {
-        std::string wrongVersion = good;
-        const size_t at = wrongVersion.find("\"version\":1");
-        ASSERT_NE(at, std::string::npos);
-        wrongVersion.replace(at, 11, "\"version\":9");
-        rejects(wrongVersion, "future version");
-    }
-}
