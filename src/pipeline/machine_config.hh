@@ -13,12 +13,14 @@
 #ifndef CONOPT_PIPELINE_MACHINE_CONFIG_HH
 #define CONOPT_PIPELINE_MACHINE_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "src/branch/branch_predictor.hh"
 #include "src/cache/cache.hh"
 #include "src/core/optimizer.hh"
+#include "src/isa/isa.hh"
 
 namespace conopt::pipeline {
 
@@ -91,6 +93,22 @@ struct MachineConfig
      * them wait on one file.
      */
     unsigned wakeListCapacity() const { return 3 * schedTotalEntries(); }
+
+    /**
+     * Furthest ahead of the current cycle the core ever schedules a
+     * completion or ready event: register read, then agen plus a miss
+     * all the way to memory (or the slowest ALU op, if longer), plus
+     * the optimizer's extra stages and schedMinDelay.
+     */
+    unsigned
+    eventHorizon() const
+    {
+        unsigned slowest =
+            1 + hier.l1d.latency + hier.l2.latency + hier.memLatency;
+        for (const isa::OpInfo &info : isa::detail::opTable)
+            slowest = std::max<unsigned>(slowest, info.latency);
+        return regReadDepth + slowest + opt.extraStages + schedMinDelay;
+    }
 
     // --- presets -----------------------------------------------------------
     static MachineConfig baseline();

@@ -43,7 +43,6 @@ OooCore::reset(const MachineConfig &config)
     cycle_ = 0;
     halted_ = false;
     stats_ = SimStats{};
-    retiredCount_ = 0;
     mispredictPending_ = false;
     pendingMispredictSeq_ = 0;
     fetchResumeCycle_ = 0;
@@ -72,18 +71,18 @@ OooCore::reset(const MachineConfig &config)
     dispatchCap_ = size_t(config.dispatchQueueEntries) +
                    size_t(renameDepth_) * config.renameWidth;
     dispatchPipe_.reserve(dispatchCap_);
-    rob_.reset(config.robEntries);
     storeQueue_.reset(config.robEntries); // in-flight stores <= ROB
-    completions_.clear();
-    completions_.reserve(config.robEntries + 1); // <=1 event per entry
 
-    // Hot SoA arrays: one slot per ROB ring slot, indexed seq & mask.
-    // In-flight seqs span at most robEntries <= capacity, so live
-    // entries never collide; each slot is re-initialized at rename.
-    soaMask_ = rob_.capacity() - 1;
-    const size_t soa_n = soaMask_ + 1;
-    hotDone_.assign(soa_n, 0);
-    hotIssued_.assign(soa_n, 0);
+    // The window and the hot SoA arrays: one slot per in-flight seq,
+    // indexed seq & mask. In-flight seqs span at most frontCap_ +
+    // robEntries <= soa_n, so live entries never collide; fetch and
+    // rename overwrite each slot's stale contents.
+    const size_t soa_n = ceilPowerOfTwo(frontCap_ + config.robEntries);
+    slotMask_ = soa_n - 1;
+    if (window_.size() < soa_n)
+        window_.resize(soa_n);
+    robHead_ = emu_.instCount();
+    robCount_ = 0;
     hotDoneCycle_.assign(soa_n, neverCycle);
     hotAddrReadyCycle_.assign(soa_n, neverCycle);
     hotPendingDeps_.assign(soa_n, 0);
@@ -100,8 +99,8 @@ OooCore::reset(const MachineConfig &config)
         q.clear();
         q.reserve(config.schedEntries);
     }
-    readyEvents_.clear();
-    readyEvents_.reserve(config.schedTotalEntries());
+    completions_.reset(config.eventHorizon(), soa_n);
+    readyEvents_.reset(config.eventHorizon(), soa_n);
     intWake_.reset(config.intPhysRegs, config.wakeListCapacity());
     fpWake_.reset(config.fpPhysRegs, config.wakeListCapacity());
 
@@ -136,27 +135,17 @@ OooCore::reset(const MachineConfig &config)
 OooCore::RobEntry &
 OooCore::entryOf(uint64_t seq)
 {
-    conopt_assert(!rob_.empty());
-    const uint64_t head = rob_.front().dyn.seq;
-    conopt_assert(seq >= head && seq - head < rob_.size());
-    return rob_[seq - head];
+    conopt_assert(seq - robHead_ < robCount_);
+    return window_[slot(seq)];
 }
 
 unsigned
 OooCore::schedIndex(OpClass cls) const
 {
-    switch (cls) {
-      case OpClass::IntSimple:
-        return 0;
-      case OpClass::IntComplex:
-        return 1;
-      case OpClass::Fp:
-        return 2;
-      case OpClass::Mem:
-        return 3;
-      default:
+    // The four schedulers are numbered like the first four op classes.
+    if (cls > OpClass::Mem)
         conopt_panic("no scheduler for this op class");
-    }
+    return unsigned(cls);
 }
 
 bool
@@ -169,21 +158,6 @@ OooCore::depsReady(const RobEntry &e) const
             return false;
     }
     return true;
-}
-
-void
-OooCore::completeAt(uint64_t cycle, uint64_t seq)
-{
-    // Keep the flat list sorted descending; the soonest event stays at
-    // back(). Insertion cost is a short memmove over in-flight events,
-    // which profiles cheaper than the heap's alloc-and-sift for the
-    // small windows a real config produces.
-    const std::pair<uint64_t, uint64_t> ev(cycle, seq);
-    const auto it = std::upper_bound(completions_.begin(),
-                                     completions_.end(), ev,
-                                     std::greater<>());
-    // conopt-lint: allow(hotpath-alloc) sorted insert into a vector
-    completions_.insert(it, ev);  // reserved to window size in reset()
 }
 
 void
@@ -220,14 +194,9 @@ OooCore::scheduleReady(uint64_t seq, uint64_t ready)
         // (a consumer is always younger, so it lands ahead of the
         // cursor): it may still issue this cycle, exactly like the
         // polling loop, which would reach it later in its scan.
-        insertReady(hotSched_[soaIndex(seq)], seq);
+        insertReady(hotSched_[slot(seq)], seq);
     } else {
-        const std::pair<uint64_t, uint64_t> ev(ready, seq);
-        const auto it = std::upper_bound(readyEvents_.begin(),
-                                         readyEvents_.end(), ev,
-                                         std::greater<>());
-        // conopt-lint: allow(hotpath-alloc) reserved to total scheduler
-        readyEvents_.insert(it, ev);  // entries in reset()
+        readyEvents_.schedule(cycle_, ready, seq);
     }
 }
 
@@ -239,7 +208,7 @@ OooCore::setRegReady(bool fp, core::PhysRegId reg, uint64_t cycle)
     if (wl.empty(reg))
         return;
     wl.drain(reg, [this, cycle](uint64_t seq) {
-        const size_t ix = soaIndex(seq);
+        const size_t ix = slot(seq);
         if (cycle > hotDepBound_[ix])
             hotDepBound_[ix] = cycle;
         conopt_assert(hotPendingDeps_[ix] > 0);
@@ -251,7 +220,7 @@ OooCore::setRegReady(bool fp, core::PhysRegId reg, uint64_t cycle)
 void
 OooCore::registerWakeups(uint64_t seq, const RobEntry &e, unsigned sched)
 {
-    const size_t ix = soaIndex(seq);
+    const size_t ix = slot(seq);
     hotSched_[ix] = uint8_t(sched);
     // schedMinDelay gates the first issue opportunity even when every
     // operand is already ready (the polling loop's dispatchCycle check).
@@ -310,20 +279,19 @@ OooCore::tick()
     // A program that ends by exhausting the emulator's instruction limit
     // (no HALT) finishes when the pipeline drains.
     if (!halted_ && emu_.done() && frontPipe_.empty() &&
-        dispatchPipe_.empty() && rob_.empty()) {
+        dispatchPipe_.empty() && robCount_ == 0) {
         halted_ = true;
     }
 
-    if (cycle_ - lastRetireCycle_ > 500000 && !rob_.empty()) {
-        const RobEntry &h = rob_.front();
-        const size_t hx = soaIndex(h.dyn.seq);
+    if (cycle_ - lastRetireCycle_ > 500000 && robCount_ != 0) {
+        const RobEntry &h = entryOf(robHead_);
         conopt_panic("pipeline deadlock at cycle %llu: head seq %llu "
-                     "pc 0x%llx op %s done=%d issued=%d",
+                     "pc 0x%llx op %s done at %lld",
                      static_cast<unsigned long long>(cycle_),
                      static_cast<unsigned long long>(h.dyn.seq),
                      static_cast<unsigned long long>(h.dyn.pc),
                      isa::opInfo(h.dyn.inst.op).mnemonic,
-                     int(hotDone_[hx]), int(hotIssued_[hx]));
+                     static_cast<long long>(hotDoneCycle_[slot(robHead_)]));
     }
 }
 
@@ -334,9 +302,9 @@ OooCore::tick()
 void
 OooCore::retireStage()
 {
-    for (unsigned n = 0; n < cfg_.retireWidth && !rob_.empty(); ++n) {
-        RobEntry &e = rob_.front();
-        const size_t ix = soaIndex(e.dyn.seq);
+    for (unsigned n = 0; n < cfg_.retireWidth && robCount_ != 0; ++n) {
+        const size_t ix = slot(robHead_);
+        const RobEntry &e = window_[ix];
 
         if (e.isStore) {
             // A store commits when its address is generated and its data
@@ -355,7 +323,7 @@ OooCore::retireStage()
                 ++stats_.dl1Hits;
             else
                 ++stats_.dl1Misses;
-        } else if (!hotDone_[ix] || hotDoneCycle_[ix] > cycle_) {
+        } else if (hotDoneCycle_[ix] > cycle_) { // neverCycle: not done
             break;
         }
 
@@ -397,7 +365,6 @@ OooCore::retireStage()
             halted_ = true;
 
         ++stats_.retired;
-        ++retiredCount_;
         // Per-interval IPC sampling (host-side observability; one
         // predictable branch when disabled). The cycle_ > mark guard
         // defers a sample whose whole interval retired within one
@@ -411,7 +378,8 @@ OooCore::retireStage()
             ipcMarkCycle_ = cycle_;
         }
         lastRetireCycle_ = cycle_;
-        rob_.pop_front();
+        ++robHead_;
+        --robCount_;
         if (halted_)
             break;
     }
@@ -424,12 +392,9 @@ OooCore::retireStage()
 void
 OooCore::writebackStage()
 {
-    while (!completions_.empty() && completions_.back().first <= cycle_) {
-        const uint64_t seq = completions_.back().second;
-        completions_.pop_back();
-        RobEntry &e = entryOf(seq);
-        const size_t ix = soaIndex(seq);
-        hotDone_[ix] = 1;
+    completions_.drain(cycle_, [this](uint64_t seq) {
+        const RobEntry &e = entryOf(seq);
+        const size_t ix = slot(seq);
         hotDoneCycle_[ix] = cycle_;
 
         if (e.isStore) {
@@ -443,7 +408,7 @@ OooCore::writebackStage()
 
         if (e.isBranch && e.mispredicted && !e.earlyRecovered)
             resolveMispredict(e, cycle_);
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -455,21 +420,20 @@ OooCore::tryIssueAlu(RobEntry &e, unsigned &budget)
 {
     if (budget == 0)
         return false;
-    const size_t ix = soaIndex(e.dyn.seq);
+    const size_t ix = slot(e.dyn.seq);
     // Ready-queue membership guarantees the polling preconditions.
     conopt_assert(cycle_ >= hotDepBound_[ix]);
     conopt_assert(depsReady(e));
 
     --budget;
-    hotIssued_[ix] = 1;
-    e.issueCycle = cycle_;
     const unsigned lat = e.opt.execLatency;
     if (e.opt.destPreg != invalidPreg && !e.opt.destAliased) {
         setRegReady(e.opt.destIsFp, e.opt.destPreg, cycle_ + lat);
         prfFor(e.opt.destIsFp).setVfbAt(
             e.opt.destPreg, cycle_ + cfg_.regReadDepth + lat + cfg_.vfbDelay);
     }
-    completeAt(cycle_ + cfg_.regReadDepth + lat, e.dyn.seq);
+    completions_.schedule(cycle_, cycle_ + cfg_.regReadDepth + lat,
+                          e.dyn.seq);
     return true;
 }
 
@@ -488,7 +452,7 @@ OooCore::scanOlderStores(const RobEntry &e)
         const uint64_t s_seq = storeQueue_[i];
         if (s_seq >= e.dyn.seq)
             continue;
-        const size_t sx = soaIndex(s_seq);
+        const size_t sx = slot(s_seq);
         if (hotStoreHi_[sx] <= lo || hi <= hotStoreLo_[sx])
             continue; // disjoint
         young_seq = s_seq;
@@ -498,7 +462,7 @@ OooCore::scanOlderStores(const RobEntry &e)
 
     if (!have)
         return StoreScan::Clear;
-    const size_t sx = soaIndex(young_seq);
+    const size_t sx = slot(young_seq);
     if (hotStoreLo_[sx] <= lo && hi <= hotStoreHi_[sx]) {
         // Fully covering store: forward when its address is known and
         // its data is ready.
@@ -516,7 +480,7 @@ OooCore::scanOlderStores(const RobEntry &e)
 bool
 OooCore::tryIssueMem(RobEntry &e)
 {
-    const size_t ix = soaIndex(e.dyn.seq);
+    const size_t ix = slot(e.dyn.seq);
     conopt_assert(cycle_ >= hotDepBound_[ix]);
     conopt_assert(depsReady(e));
 
@@ -525,9 +489,8 @@ OooCore::tryIssueMem(RobEntry &e)
         if (agenUsedThisCycle_ >= cfg_.numAgen)
             return false;
         ++agenUsedThisCycle_;
-        hotIssued_[ix] = 1;
-        e.issueCycle = cycle_;
-        completeAt(cycle_ + cfg_.regReadDepth + 1, e.dyn.seq);
+        completions_.schedule(cycle_, cycle_ + cfg_.regReadDepth + 1,
+                              e.dyn.seq);
         return true;
     }
 
@@ -560,8 +523,6 @@ OooCore::tryIssueMem(RobEntry &e)
     ++portsUsedThisCycle_;
     if (e.opt.needsAgen)
         ++agenUsedThisCycle_;
-    hotIssued_[ix] = 1;
-    e.issueCycle = cycle_;
     if (e.opt.destPreg != invalidPreg && !e.opt.destAliased) {
         setRegReady(e.opt.destIsFp, e.opt.destPreg,
                     cycle_ + agen_lat + mem_lat);
@@ -569,7 +530,9 @@ OooCore::tryIssueMem(RobEntry &e)
             e.opt.destPreg, cycle_ + cfg_.regReadDepth + agen_lat + mem_lat +
                                 cfg_.vfbDelay);
     }
-    completeAt(cycle_ + cfg_.regReadDepth + agen_lat + mem_lat, e.dyn.seq);
+    completions_.schedule(cycle_,
+                          cycle_ + cfg_.regReadDepth + agen_lat + mem_lat,
+                          e.dyn.seq);
     return true;
 }
 
@@ -578,11 +541,9 @@ OooCore::issueStage()
 {
     // Move entries whose operand-ready cycle has arrived into their
     // scheduler's ready queue.
-    while (!readyEvents_.empty() && readyEvents_.back().first <= cycle_) {
-        const uint64_t seq = readyEvents_.back().second;
-        readyEvents_.pop_back();
-        insertReady(hotSched_[soaIndex(seq)], seq);
-    }
+    readyEvents_.drain(cycle_, [this](uint64_t seq) {
+        insertReady(hotSched_[slot(seq)], seq);
+    });
 
     // ALU-style schedulers: int-simple, int-complex, fp. Every queued
     // entry is issueable, so the scan is bounded by the FU budget. A
@@ -657,7 +618,7 @@ OooCore::renameStage()
 {
     unsigned renamed = 0;
     while (renamed < cfg_.renameWidth && frontPipe_.ready(cycle_)) {
-        if (rob_.size() >= cfg_.robEntries) {
+        if (robCount_ >= cfg_.robEntries) {
             ++stats_.renameStallRob;
             break;
         }
@@ -670,49 +631,35 @@ OooCore::renameStage()
             break;
         }
 
-        // The front-pipe slot stays valid until a later pushSlot()
-        // overwrites it; nothing below pushes into frontPipe_, so a
-        // reference avoids copying the fat record through the stack.
-        const FetchedInst &fi = frontPipe_.front();
+        // The ROB grows by the front pipe's oldest seq; its window slot
+        // already holds what fetch wrote, and rename fills in the rest.
+        const uint64_t seq = frontPipe_.front();
+        conopt_assert(seq == robHead_ + robCount_);
+        frontPipe_.pop();
+        ++robCount_;
+        const size_t ix = slot(seq);
+        RobEntry &e = window_[ix];
         if (renamed == 0)
             rename_.beginBundle();
 
         const uint64_t opt_cycle = cycle_ + optExtra_;
-        const core::OptResult opt = rename_.renameInst(fi.dyn, opt_cycle);
+        e.opt = rename_.renameInst(e.dyn, opt_cycle);
+        const core::OptResult &opt = e.opt;
 
         // Re-initialize this seq's slot in the hot arrays (it holds
-        // stale state from the entry robCapacity seqs ago).
-        const size_t ix = soaIndex(fi.dyn.seq);
-        hotDone_[ix] = 0;
-        hotIssued_[ix] = 0;
+        // stale state from an earlier occupant; the wakeup fields are
+        // set at dispatch, before anything reads them).
         hotDoneCycle_[ix] = neverCycle;
         hotAddrReadyCycle_[ix] = neverCycle;
-        hotPendingDeps_[ix] = 0;
-        hotDepBound_[ix] = 0;
-        hotSched_[ix] = 0;
 
-        // Fill the ROB slot in place (it holds a stale entry robCapacity
-        // seqs ago: overwrite every field, including the ones only other
-        // paths set). Skips the zero-init + move that a stack-built
-        // entry pays per instruction.
-        // conopt-lint: allow(hotpath-alloc) fixed-capacity RingBuffer
-        RobEntry &e = rob_.pushSlot();  // panics on overflow
-        e.dyn = fi.dyn;
-        e.opt = opt;
-        e.pred = fi.pred;
-        e.isBranch = fi.isBranch;
-        e.mispredicted = fi.mispredicted;
-        e.misfetch = fi.misfetch;
+        // Overwrite every field fetch did not, including the ones only
+        // later paths set.
         e.earlyRecovered = false;
-        e.isLoad = fi.dyn.inst.isLoad() && !opt.loadRemoved &&
+        e.isLoad = e.dyn.inst.isLoad() && !opt.loadRemoved &&
                    !opt.loadSynthesized;
-        e.isStore = fi.dyn.inst.isStore();
+        e.isStore = e.dyn.inst.isStore();
         e.storeAddrWasUnknown = false;
         e.forwardedFromStore = false;
-        e.fetchCycle = fi.fetchCycle;
-        e.renameCycle = cycle_;
-        e.issueCycle = neverCycle;
-        frontPipe_.pop();
 
         // References for the in-flight window were taken by the rename
         // unit (see RenameUnit docs); this entry releases them at retire.
@@ -720,7 +667,6 @@ OooCore::renameStage()
         if (opt.schedClass == OpClass::None) {
             // Executed in the optimizer (or nothing to execute): ready at
             // the end of the optimization stage, retires from the ROB.
-            hotDone_[ix] = 1;
             hotDoneCycle_[ix] = opt_cycle;
             if (opt.destPreg != invalidPreg && !opt.destAliased) {
                 setRegReady(opt.destIsFp, opt.destPreg, opt_cycle);
@@ -729,16 +675,15 @@ OooCore::renameStage()
         } else if (e.isStore && !opt.needsAgen) {
             // Store with a rename-generated address: nothing to execute;
             // it waits at the ROB head for its data, then commits.
-            hotDone_[ix] = 1;
             hotDoneCycle_[ix] = opt_cycle;
             hotAddrReadyCycle_[ix] = opt_cycle;
         } else {
-            dispatchPipe_.push(cycle_, e.dyn.seq);
+            dispatchPipe_.push(cycle_, seq);
         }
 
         if (e.isStore) {
             // conopt-lint: allow(hotpath-alloc) fixed-capacity RingBuffer
-            storeQueue_.push_back(e.dyn.seq);  // panics on overflow
+            storeQueue_.push_back(seq);  // panics on overflow
             if (opt.addrKnown && hotAddrReadyCycle_[ix] == neverCycle)
                 hotAddrReadyCycle_[ix] = opt_cycle;
             e.storeAddrWasUnknown = !opt.addrKnown;
@@ -749,8 +694,6 @@ OooCore::renameStage()
             hotStoreDataReg_[ix] = opt.storeDataDep.reg;
             hotStoreDataFp_[ix] = opt.storeDataDep.isFp ? 1 : 0;
         }
-        if (e.isLoad && opt.addrKnown)
-            hotAddrReadyCycle_[ix] = opt_cycle;
 
         // Early branch recovery (paper section 2.5.1): a mispredicted
         // branch resolved by the optimizer redirects fetch right after
@@ -814,28 +757,29 @@ OooCore::fetchStage()
             break; // fetch packets do not cross I-cache lines
         }
 
-        // Fill the pipe slot in place (it holds a stale instruction:
-        // overwrite every field). Each path below keeps the entry, so
-        // pushing up front is safe.
-        FetchedInst &fi = frontPipe_.pushSlot(cycle_);
-        fi.dyn = emu_.step();
-        fi.pred = branch::Prediction{};
-        fi.fetchCycle = cycle_;
-        fi.mispredicted = false;
-        fi.misfetch = false;
-        const auto &info = isa::opInfo(fi.dyn.inst.op);
-        fi.isBranch = info.isBranch;
+        // Write the instruction straight into its window slot (it holds
+        // a stale record: overwrite every field fetch owns). Each path
+        // below keeps the instruction, so pushing up front is safe.
+        const uint64_t seq = emu_.instCount();
+        RobEntry &e = window_[slot(seq)];
+        e.dyn = emu_.step();
+        conopt_assert(e.dyn.seq == seq);
+        frontPipe_.push(cycle_, seq);
+        e.pred = branch::Prediction{};
+        e.mispredicted = false;
+        const auto &info = isa::opInfo(e.dyn.inst.op);
+        e.isBranch = info.isBranch;
 
         if (info.isBranch) {
-            fi.pred = bp_.predict(fi.dyn.pc, fi.dyn.inst,
-                                  fi.dyn.pc + isa::instBytes);
+            e.pred = bp_.predict(e.dyn.pc, e.dyn.inst,
+                                 e.dyn.pc + isa::instBytes);
             const bool dir_wrong =
-                info.isCondBranch && fi.pred.taken != fi.dyn.taken;
+                info.isCondBranch && e.pred.taken != e.dyn.taken;
             bool target_wrong = false;
             bool resteer = false;
-            if (!dir_wrong && fi.dyn.taken &&
-                (!fi.pred.targetValid ||
-                 fi.pred.target != fi.dyn.nextPc)) {
+            if (!dir_wrong && e.dyn.taken &&
+                (!e.pred.targetValid ||
+                 e.pred.target != e.dyn.nextPc)) {
                 if (info.isIndirect)
                     target_wrong = true;
                 else
@@ -843,22 +787,21 @@ OooCore::fetchStage()
             }
 
             if (dir_wrong || target_wrong) {
-                fi.mispredicted = true;
+                e.mispredicted = true;
                 if (info.isCondBranch)
-                    bp_.recover(fi.pred, fi.dyn.taken);
+                    bp_.recover(e.pred, e.dyn.taken);
                 mispredictPending_ = true;
-                pendingMispredictSeq_ = fi.dyn.seq;
+                pendingMispredictSeq_ = e.dyn.seq;
                 return;
             }
             if (resteer) {
-                fi.misfetch = true;
                 ++stats_.btbResteers;
                 fetchResumeCycle_ = std::max(
                     fetchResumeCycle_, cycle_ + cfg_.resteerPenalty);
                 lastFetchLine_ = neverCycle;
                 return;
             }
-            if (fi.dyn.taken) {
+            if (e.dyn.taken) {
                 // A correctly predicted taken branch ends the packet.
                 lastFetchLine_ = neverCycle;
                 return;
@@ -866,7 +809,7 @@ OooCore::fetchStage()
             continue;
         }
 
-        if (fi.dyn.inst.op == Opcode::HALT)
+        if (e.dyn.inst.op == Opcode::HALT)
             return;
     }
 }

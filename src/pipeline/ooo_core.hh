@@ -23,23 +23,33 @@
  *
  * Host-performance architecture (simulated results are unaffected):
  *
+ *  - One seq-indexed window. Every in-flight instruction, from fetch
+ *    to retire, owns slot seq & slotMask_ of one RobEntry vector
+ *    (slotMask_ + 1 covers the front pipe plus the ROB). Fetch writes
+ *    the emulator's DynInst straight into its slot, rename fills the
+ *    rest of the same slot in place, and the front and dispatch pipes
+ *    carry bare seqs, so no stage copies an instruction record.
+ *
  *  - Event-driven wakeup. Scheduler occupants are never polled. An
  *    instruction dispatching with unready operands registers in a
  *    per-physical-register WakeList; when the producer issues (the
  *    one setReadyAt call of a register's lifetime), its waiters learn
  *    their operand-ready cycle. Once every operand has a known ready
- *    cycle the entry is scheduled onto a (cycle, seq) ready-event
- *    list, and at that cycle it moves into its scheduler's ready
- *    queue, kept sorted by age — so issueStage() scans only entries
- *    that can actually issue, in exactly the age order the polling
- *    loop used.
+ *    cycle the entry is scheduled for that cycle, and then it moves
+ *    into its scheduler's ready queue, kept sorted by age — so
+ *    issueStage() scans only entries that can actually issue, in
+ *    exactly the age order the polling loop used.
  *
- *  - Hot-field SoA split. The per-cycle-touched state of in-flight
- *    instructions (done/issued flags, completion and address-ready
- *    cycles, wakeup bookkeeping, store ranges and data deps) lives in
- *    parallel arrays indexed by sequence number modulo the ROB
- *    capacity, so writeback/retire/forwarding touch dense cache lines
- *    instead of striding over the ~200-byte RobEntry records.
+ *  - Per-cycle timing wheels. Completion and ready events sit in a
+ *    TimingWheel bucket for their cycle (horizon:
+ *    MachineConfig::eventHorizon()), and each tick drains just its own
+ *    bucket, oldest seq first. Events are mostly scheduled in age
+ *    order, so a bucket insert is almost always an O(1) tail append.
+ *
+ *  - Hot-field SoA split. The per-cycle-touched state (completion and
+ *    address-ready cycles, wakeup bookkeeping, store ranges and data
+ *    deps) lives in parallel arrays indexed like the window, so
+ *    writeback, retire and forwarding touch dense cache lines.
  */
 
 #ifndef CONOPT_PIPELINE_OOO_CORE_HH
@@ -47,7 +57,6 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/arch/emulator.hh"
@@ -60,6 +69,7 @@
 #include "src/pipeline/stats_aggregate.hh"
 #include "src/util/delay_pipe.hh"
 #include "src/util/ring_buffer.hh"
+#include "src/util/timing_wheel.hh"
 #include "src/util/wake_list.hh"
 
 namespace conopt::pipeline {
@@ -144,22 +154,26 @@ class OooCore
     const PhysRegFile &fpPrf() const { return fpPrf_; }
     const core::RenameUnit &renameUnit() const { return rename_; }
 
-  private:
-    /** An instruction travelling through the front end. */
-    struct FetchedInst
+    /** Deterministic host-work counts since reset(): ticks, events
+     *  scheduled on the timing wheels, and in-bucket ordering steps.
+     *  Host-side only, never part of SimStats. */
+    struct WorkCounts
     {
-        arch::DynInst dyn;
-        branch::Prediction pred{};
-        uint64_t fetchCycle = 0;
-        bool isBranch = false;
-        bool mispredicted = false; ///< direction or indirect target wrong
-        bool misfetch = false;     ///< direct-target fixed up at decode
+        uint64_t ticks = 0, events = 0, orderSteps = 0;
     };
+    WorkCounts
+    workCounts() const
+    {
+        return {cycle_, completions_.scheduled() + readyEvents_.scheduled(),
+                completions_.orderSteps() + readyEvents_.orderSteps()};
+    }
 
+  private:
     /**
-     * A reorder-buffer entry: the cold, written-once-per-stage record.
-     * Every field the steady state re-reads each cycle lives in the
-     * hot parallel arrays below instead (indexed seq & soaMask_).
+     * One in-flight instruction's cold record, written once per stage
+     * (fetch fills dyn and the prediction, rename the rest). Every
+     * field the steady state re-reads each cycle lives in the hot
+     * parallel arrays below instead (indexed seq & slotMask_).
      */
     struct RobEntry
     {
@@ -167,17 +181,12 @@ class OooCore
         core::OptResult opt;
         branch::Prediction pred{};
         bool isBranch = false;
-        bool mispredicted = false;
-        bool misfetch = false;
+        bool mispredicted = false; ///< direction or indirect target wrong
         bool earlyRecovered = false;
         bool isLoad = false;
         bool isStore = false;
         bool storeAddrWasUnknown = false;
         bool forwardedFromStore = false;
-
-        uint64_t fetchCycle = 0;
-        uint64_t renameCycle = 0;
-        uint64_t issueCycle = neverCycle;
     };
 
     // --- stages (called in reverse order each tick) ----------------------
@@ -201,12 +210,11 @@ class OooCore
     StoreScan scanOlderStores(const RobEntry &e);
     bool tryIssueMem(RobEntry &e);
     bool tryIssueAlu(RobEntry &e, unsigned &budget);
-    void completeAt(uint64_t cycle, uint64_t seq);
     void resolveMispredict(const RobEntry &e, uint64_t resolve_cycle);
     void finalizeStats();
 
     // --- event-driven wakeup ---------------------------------------------
-    size_t soaIndex(uint64_t seq) const { return size_t(seq) & soaMask_; }
+    size_t slot(uint64_t seq) const { return size_t(seq) & slotMask_; }
     /** The single write point of a register's ready cycle: updates the
      *  PRF and wakes every scheduler entry waiting on @p reg. */
     void setRegReady(bool fp, core::PhysRegId reg, uint64_t cycle);
@@ -238,18 +246,20 @@ class OooCore
     bool halted_ = false;
     SimStats stats_;
 
-    DelayPipe<FetchedInst> frontPipe_;
+    DelayPipe<uint64_t> frontPipe_;    ///< seqs in fetch/decode stages
     size_t frontCap_;
     DelayPipe<uint64_t> dispatchPipe_; ///< seqs in rename/optimize stages
     size_t dispatchCap_;
 
-    RingBuffer<RobEntry> rob_;
-    uint64_t retiredCount_ = 0;
+    /** The window: every in-flight instruction's record at
+     *  slot(seq). The ROB is its seqs [robHead_, robHead_ + robCount_);
+     *  the front pipe holds the seqs fetched after those. */
+    std::vector<RobEntry> window_;
+    uint64_t robHead_ = 0;
+    size_t robCount_ = 0;
 
-    // --- hot per-entry state (SoA, indexed seq & soaMask_) -----------------
-    size_t soaMask_ = 0;
-    std::vector<uint8_t> hotDone_;
-    std::vector<uint8_t> hotIssued_;
+    // --- hot per-entry state (SoA, indexed like the window) ----------------
+    size_t slotMask_ = 0;
     std::vector<uint64_t> hotDoneCycle_;
     std::vector<uint64_t> hotAddrReadyCycle_;
     /** Wakeup bookkeeping: operands still waiting for a producer, the
@@ -274,9 +284,8 @@ class OooCore
     std::array<std::vector<uint64_t>, 4> ready_;
 
     /** Entries whose operands all have known ready cycles, waiting for
-     *  that cycle: (cycle, seq), sorted descending like completions_
-     *  so the soonest event pops from back(). */
-    std::vector<std::pair<uint64_t, uint64_t>> readyEvents_;
+     *  that cycle. */
+    TimingWheel readyEvents_;
 
     /** Producer wake lists, one per register file. */
     WakeList intWake_;
@@ -285,11 +294,8 @@ class OooCore
     /** In-flight stores (seqs), oldest first, for load ordering. */
     RingBuffer<uint64_t> storeQueue_;
 
-    /** Completion events (cycle, seq), kept sorted descending so the
-     *  next event is at back(): a flat sorted-insertion list pops in
-     *  exactly the order of the min-heap it replaces ((cycle, seq)
-     *  pairs are unique), with no per-event heap churn. */
-    std::vector<std::pair<uint64_t, uint64_t>> completions_;
+    /** Execution completions, popped by writeback in seq order. */
+    TimingWheel completions_;
 
     // --- fetch state ---------------------------------------------------------
     bool mispredictPending_ = false;

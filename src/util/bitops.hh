@@ -40,13 +40,6 @@ sext64(uint64_t v, unsigned bits)
     return static_cast<int64_t>(v << shift) >> shift;
 }
 
-/** Extract bits [lo, lo+len) of v. */
-constexpr uint64_t
-bits64(uint64_t v, unsigned lo, unsigned len)
-{
-    return (v >> lo) & ((len >= 64) ? ~uint64_t(0) : ((uint64_t(1) << len) - 1));
-}
-
 // FNV-1a hashing constants and steps, shared by the sweep job seeds
 // (src/sim/sweep.cc) and the config fingerprints (src/sim/baseline.cc).
 constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ull;

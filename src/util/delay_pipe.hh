@@ -35,7 +35,6 @@ class DelayPipe
 
     /** Change the pipe depth (only before use / after clear()). */
     void setDepth(uint32_t depth) { depth_ = depth; }
-    uint32_t depth() const { return depth_; }
 
     /** Pre-size the backing ring (contents kept; never shrinks). */
     void reserve(size_t capacity) { entries_.reserve(capacity); }
@@ -48,23 +47,6 @@ class DelayPipe
             entries_.reserve(entries_.capacity() ? entries_.capacity() * 2
                                                  : 8);
         entries_.push_back(Entry{now + depth_, std::move(item)});
-    }
-
-    /**
-     * Insert at cycle @p now by exposing the new tail item for
-     * in-place filling (see RingBuffer::pushSlot: the slot holds a
-     * stale previous value, the caller must overwrite what it will
-     * read). Skips the by-value trip through push()'s Entry temporary.
-     */
-    T &
-    pushSlot(uint64_t now)
-    {
-        if (entries_.full())
-            entries_.reserve(entries_.capacity() ? entries_.capacity() * 2
-                                                 : 8);
-        Entry &e = entries_.pushSlot();
-        e.readyCycle = now + depth_;
-        return e.item;
     }
 
     /** True if an item is available at cycle @p now. */
@@ -84,23 +66,6 @@ class DelayPipe
     bool empty() const { return entries_.empty(); }
     size_t size() const { return entries_.size(); }
     void clear() { entries_.clear(); }
-
-    /** Drop every entry for which pred(item) returns true. */
-    template <typename Pred>
-    void
-    removeIf(Pred pred)
-    {
-        size_t kept = 0;
-        for (size_t i = 0; i < entries_.size(); ++i) {
-            if (!pred(entries_[i].item)) {
-                if (kept != i)
-                    entries_[kept] = std::move(entries_[i]);
-                ++kept;
-            }
-        }
-        while (entries_.size() > kept)
-            entries_.erase(entries_.size() - 1);
-    }
 
   private:
     struct Entry

@@ -5,18 +5,6 @@
 
 namespace conopt {
 
-namespace {
-
-void
-vreport(const char *prefix, const char *fmt, va_list args)
-{
-    std::fprintf(stderr, "%s", prefix);
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
-}
-
-} // namespace
-
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
@@ -39,24 +27,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_end(args);
     std::fprintf(stderr, "\n");
     std::exit(1);
-}
-
-void
-warnImpl(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("info: ", fmt, args);
-    va_end(args);
 }
 
 } // namespace conopt

@@ -5,8 +5,6 @@
  * panic()  -- an internal invariant was violated (simulator bug); aborts.
  * fatal()  -- the user asked for something unsupportable (bad config);
  *             exits with an error code.
- * warn()   -- questionable but survivable condition.
- * inform() -- plain status output.
  */
 
 #ifndef CONOPT_UTIL_LOGGING_HH
@@ -25,20 +23,12 @@ namespace conopt {
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 
-/** Print a warning that does not stop simulation. */
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational status message. */
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 } // namespace conopt
 
 #define conopt_panic(...) \
     ::conopt::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define conopt_fatal(...) \
     ::conopt::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define conopt_warn(...) ::conopt::warnImpl(__VA_ARGS__)
-#define conopt_inform(...) ::conopt::informImpl(__VA_ARGS__)
 
 /**
  * Invariant check that stays on in release builds. The simulator relies on

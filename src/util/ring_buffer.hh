@@ -1,11 +1,10 @@
 /**
  * @file
- * Fixed-capacity ring buffer: the backing store for every hot queue in
- * the timing core (ROB, store queue, schedulers, delay pipes). Unlike
- * std::deque it never allocates per push — capacity is reserved once
- * (sized from the MachineConfig) and reused across simulations, which
- * is what lets a warm SimSession run with zero heap allocations per
- * simulated instruction.
+ * Fixed-capacity ring buffer: the backing store for the timing core's
+ * store queue and delay pipes. Unlike std::deque it never allocates
+ * per push — capacity is reserved once (sized from the MachineConfig)
+ * and reused across simulations, which is what lets a warm SimSession
+ * run with zero heap allocations per simulated instruction.
  *
  * Semantics:
  *   - push_back() on a full buffer is a hard error (conopt_panic), not
@@ -15,8 +14,7 @@
  *     reset() clears and ensures capacity in one step. Neither ever
  *     shrinks, so a reused buffer stops allocating once it has seen
  *     its high-water configuration.
- *   - erase() removes by logical index, preserving order (used by the
- *     schedulers, whose entries issue out of queue order).
+ *   - erase() removes by logical index, preserving order.
  */
 
 #ifndef CONOPT_UTIL_RING_BUFFER_HH
@@ -89,24 +87,6 @@ class RingBuffer
                          data_.size());
         data_[(head_ + size_) & (data_.size() - 1)] = std::move(value);
         ++size_;
-    }
-
-    /**
-     * Append by exposing the next slot for in-place construction: the
-     * returned reference is the new back() element, still holding
-     * whatever stale value the slot last carried — the caller must
-     * overwrite every field it reads back. Avoids the temporary that
-     * push_back(T) moves through, which matters for the fat POD
-     * records travelling the front-end pipes.
-     */
-    T &
-    pushSlot()
-    {
-        if (full())
-            conopt_panic("RingBuffer overflow (capacity %zu)",
-                         data_.size());
-        ++size_;
-        return slot(size_ - 1);
     }
 
     /** Remove the oldest element. */

@@ -3,7 +3,8 @@
  * Timing-model tests: branch-misprediction penalty calibration (Table 2:
  * 20 cycles minimum on the baseline, +2 with the optimizer, much less
  * when the optimizer resolves the branch at rename), IPC sanity,
- * in-order retirement, and physical-register leak checking.
+ * in-order retirement, physical-register leak checking, and pinned
+ * results under edge machine configurations.
  */
 
 #include <utility>
@@ -14,6 +15,7 @@
 #include "src/asm/assembler.hh"
 #include "src/pipeline/ooo_core.hh"
 #include "src/sim/simulator.hh"
+#include "src/workloads/workload.hh"
 
 using namespace conopt;
 using namespace conopt::assembler;
@@ -396,4 +398,88 @@ TEST(MachineConfig, PresetsMatchTable2)
     EXPECT_EQ(pipeline::MachineConfig::fetchBound(false).schedEntries,
               16u);
     EXPECT_EQ(pipeline::MachineConfig::execBound(false).fetchWidth, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Edge configurations
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** One pinned run: edge config, workload, machine, and its results. */
+struct EdgeRun
+{
+    int edge;
+    const char *workload;
+    bool optimized;
+    uint64_t cycles, retired, dl1Misses, mispredicted, dispatchStallSched;
+};
+
+/**
+ * Results at the edges of the timing core's sizing: zero register-read
+ * and scheduler delay (events land in the very next cycle), a 1000-
+ * cycle memory behind a 40-cycle L2 (events far past the default
+ * horizon), and a 12-stage optimizer with a 9-cycle value feedback
+ * (ready events far ahead at rename). The values were recorded with
+ * the sorted-list event queues the timing wheels replaced, so a
+ * horizon or ordering bug in the wheels shows as a panic or a drift.
+ */
+constexpr EdgeRun kEdgeRuns[] = {
+    {0, "mcf", false, 183322u, 216355u, 221u, 5096u, 19308u},
+    {0, "mcf", true, 159902u, 216355u, 221u, 5097u, 4062u},
+    {0, "eqk", false, 159521u, 486527u, 8619u, 61u, 34590u},
+    {0, "eqk", true, 153921u, 486527u, 8619u, 65u, 45603u},
+    {0, "untst", false, 84919u, 130728u, 45u, 72u, 66369u},
+    {0, "untst", true, 61668u, 130728u, 45u, 73u, 60371u},
+    {1, "mcf", false, 247773u, 216355u, 221u, 5110u, 36880u},
+    {1, "mcf", true, 211817u, 216355u, 221u, 5110u, 21815u},
+    {1, "eqk", false, 326658u, 486527u, 8733u, 62u, 203394u},
+    {1, "eqk", true, 321395u, 486527u, 8736u, 66u, 212128u},
+    {1, "untst", false, 97120u, 130728u, 45u, 72u, 74536u},
+    {1, "untst", true, 73464u, 130728u, 45u, 73u, 68433u},
+    {2, "mcf", false, 198352u, 216355u, 221u, 5096u, 19140u},
+    {2, "mcf", true, 213178u, 216355u, 221u, 5095u, 3539u},
+    {2, "eqk", false, 159681u, 486527u, 8619u, 61u, 34558u},
+    {2, "eqk", true, 155199u, 486527u, 8622u, 61u, 44827u},
+    {2, "untst", false, 85138u, 130728u, 45u, 72u, 66423u},
+    {2, "untst", true, 63146u, 130728u, 45u, 73u, 61504u},
+};
+
+pipeline::MachineConfig
+edgeConfig(int edge, bool optimized)
+{
+    auto cfg = optimized ? pipeline::MachineConfig::optimized()
+                         : pipeline::MachineConfig::baseline();
+    if (edge == 0) {
+        cfg.regReadDepth = 0;
+        cfg.schedMinDelay = 0;
+    } else if (edge == 1) {
+        cfg.hier.memLatency = 1000;
+        cfg.hier.l2.latency = 40;
+    } else {
+        cfg.opt.extraStages = 12;
+        cfg.vfbDelay = 9;
+    }
+    return cfg;
+}
+
+} // namespace
+
+TEST(Pipeline, EdgeConfigsReproducePinnedResults)
+{
+    for (const EdgeRun &run : kEdgeRuns) {
+        SCOPED_TRACE(std::string(run.workload) + " edge " +
+                     std::to_string(run.edge) +
+                     (run.optimized ? " optimized" : " baseline"));
+        const auto program =
+            workloads::workloadByName(run.workload).build(1);
+        const auto r =
+            sim::simulate(program, edgeConfig(run.edge, run.optimized));
+        const auto &s = r.stats;
+        EXPECT_EQ(s.cycles, run.cycles);
+        EXPECT_EQ(s.retired, run.retired);
+        EXPECT_EQ(s.dl1Misses, run.dl1Misses);
+        EXPECT_EQ(s.mispredicted, run.mispredicted);
+        EXPECT_EQ(s.dispatchStallSched, run.dispatchStallSched);
+    }
 }

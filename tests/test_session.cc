@@ -15,7 +15,8 @@
  *     buffer is a hard error, never silent growth;
  *   - the steady-state hot path performs zero heap allocations: a
  *     warm session re-runs an entire job without a single operator
- *     new call (checked with a counting global allocator).
+ *     new call (checked with a counting global allocator), and a
+ *     TimingWheel resized within its high-water mark allocates nothing.
  */
 
 #include <atomic>
@@ -31,6 +32,7 @@
 #include "src/sim/session.hh"
 #include "src/sim/sweep.hh"
 #include "src/util/ring_buffer.hh"
+#include "src/util/timing_wheel.hh"
 #include "src/workloads/workload.hh"
 
 using namespace conopt;
@@ -207,39 +209,6 @@ TEST(RingBuffer, EraseDuringIndexedIterationVisitsEverySurvivor)
     const int odd[] = {1, 3, 5, 7};
     for (size_t k = 0; k < rb.size(); ++k)
         EXPECT_EQ(rb[k], odd[k]) << "survivors keep their age order";
-}
-
-TEST(RingBuffer, PushSlotAppendsInPlace)
-{
-    RingBuffer<int> rb(4);
-    rb.push_back(11);
-    int &slot = rb.pushSlot();
-    slot = 22; // caller must overwrite the (stale) slot contents
-    ASSERT_EQ(rb.size(), 2u);
-    EXPECT_EQ(rb.front(), 11);
-    EXPECT_EQ(rb.back(), 22);
-
-    // A slot freed by pop and re-pushed exposes the stale value — the
-    // contract is "overwrite everything you read back".
-    rb.pop_front();
-    rb.pop_front();
-    rb.push_back(1);
-    rb.push_back(2);
-    rb.push_back(3);
-    rb.pushSlot() = 4;
-    ASSERT_TRUE(rb.full());
-    const int expect[] = {1, 2, 3, 4};
-    for (size_t k = 0; k < rb.size(); ++k)
-        EXPECT_EQ(rb[k], expect[k]);
-}
-
-TEST(RingBufferDeathTest, PushSlotOverflowIsRejectedNotGrown)
-{
-    RingBuffer<int> rb(2);
-    rb.pushSlot() = 1;
-    rb.pushSlot() = 2;
-    ASSERT_TRUE(rb.full());
-    EXPECT_DEATH(rb.pushSlot(), "RingBuffer overflow");
 }
 
 // ---------------------------------------------------------------------------
@@ -451,4 +420,21 @@ TEST(SimSession, WarmRunPerformsZeroHeapAllocations)
     expectSameResult(warm, cold, "warm vs cold");
     EXPECT_GT(warm.instructions, 1000u)
         << "the workload must be big enough to mean something";
+}
+
+TEST(TimingWheel, WarmResetPerformsZeroHeapAllocations)
+{
+    TimingWheel w;
+    w.reset(1100, 256); // the high-water horizon and window
+    w.schedule(0, 1100, 3);
+
+    // Smaller or equal sizes reuse the storage: no reset allocates.
+    const uint64_t before = g_newCalls.load(std::memory_order_relaxed);
+    w.reset(119, 256);
+    w.schedule(0, 119, 4);
+    w.reset(1100, 128);
+    w.reset(1100, 256);
+    const uint64_t after = g_newCalls.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "warm reset allocated " << (after - before) << " times";
 }

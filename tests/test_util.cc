@@ -120,32 +120,6 @@ TEST(DelayPipe, ZeroLatency)
     EXPECT_TRUE(pipe.ready(5));
 }
 
-TEST(DelayPipe, RemoveIf)
-{
-    DelayPipe<int> pipe(1);
-    for (int i = 0; i < 6; ++i)
-        pipe.push(0, i);
-    pipe.removeIf([](int v) { return v % 2 == 0; });
-    EXPECT_EQ(pipe.size(), 3u);
-    ASSERT_TRUE(pipe.ready(1));
-    EXPECT_EQ(pipe.front(), 1);
-}
-
-TEST(DelayPipe, PushSlotMaturesLikePush)
-{
-    DelayPipe<int> pipe(3);
-    pipe.pushSlot(0) = 42;
-    pipe.push(0, 43);
-    EXPECT_FALSE(pipe.ready(2));
-    ASSERT_TRUE(pipe.ready(3));
-    EXPECT_EQ(pipe.front(), 42);
-    pipe.pop();
-    ASSERT_TRUE(pipe.ready(3));
-    EXPECT_EQ(pipe.front(), 43);
-    pipe.pop();
-    EXPECT_TRUE(pipe.empty());
-}
-
 TEST(PercentileAccumulator, NearestRankPercentiles)
 {
     pipeline::PercentileAccumulator acc;
